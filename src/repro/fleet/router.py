@@ -9,8 +9,7 @@ real serving stack over one shared on-disk plan-cache namespace — behind a
   keeps hitting the kernel table that already holds it;
 * **queue-depth aware** — when the affinity worker's queue is more than
   ``affinity_slack`` deeper than the least-loaded worker's, the router
-  overrides affinity and rebalances (the same queue-length thesis PR 2's
-  ``AdaptiveShardSizer`` applies to search shards);
+  overrides affinity and rebalances;
 * **admission control** — when the aggregate queue depth reaches the
   configured watermark, new requests are *rejected* with a Retry-After
   hint instead of queuing without bound (:meth:`ServingFleet.request`

@@ -91,7 +91,7 @@ class GemmChainSpec:
     # ------------------------------------------------------------------ #
     def dimension_sizes(self) -> Dict[str, int]:
         """Loop extents keyed by dimension name."""
-        return {dim: getattr(self, dim) for dim in DIMENSIONS}
+        return {"m": self.m, "n": self.n, "k": self.k, "l": self.l}
 
     @property
     def num_gemm0_branches(self) -> int:

@@ -19,9 +19,7 @@ does not multiply search throughput across cores.
 :attr:`~repro.config.FuserConfig.parallelism` closes that gap: cold
 compiles are routed through the sharded
 :class:`~repro.search.parallel.ParallelSearchEngine`, whose worker
-*processes* sidestep the GIL (and whose single-worker mode is itself
-faster than the serial engine thanks to memoized pruning and batched
-scoring).  Warm hits keep resolving through the thread pool — they never
+*processes* sidestep the GIL.  Warm hits keep resolving through the thread pool — they never
 pay a fork.
 """
 

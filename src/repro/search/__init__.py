@@ -25,13 +25,12 @@ from repro.search.incremental import (
     seed_from_plan_dict,
     shape_family_key,
 )
-from repro.search.parallel import AdaptiveShardSizer, ParallelSearchEngine
+from repro.search.parallel import ParallelSearchEngine
 from repro.search.pruning import PruningRule, PruningStats, Pruner
 from repro.search.space import SearchSpace, SpaceComponents, initial_space_size
 from repro.search.brute_force import BruteForceSearch
 
 __all__ = [
-    "AdaptiveShardSizer",
     "CandidateLowerBound",
     "CostBreakdown",
     "CostModel",

@@ -17,6 +17,7 @@ configurations are not ranked purely by their (tiny) memory cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -115,12 +116,15 @@ class CostModel:
         minimax objective a row-wise maximum.  Every arithmetic operation
         mirrors the scalar path in the same order on the same float64
         values, so the returned costs are bit-identical to calling
-        :meth:`evaluate` per result — the property the parallel search
-        engine relies on to reproduce the serial ranking exactly.
+        :meth:`evaluate` per result, which is what lets the search engines
+        score in batches without moving a plan.  A subclass that overrides
+        :meth:`evaluate` alone has it called once per result, in order.
         """
         count = len(results)
         if count == 0:
             return np.zeros(0, dtype=np.float64)
+        if type(self).evaluate is not CostModel.evaluate:
+            return np.array([self.evaluate(result) for result in results])
 
         # Column layout: the union of level names charged by the batch.
         names: List[str] = []
@@ -160,6 +164,21 @@ class CostModel:
         compute_us = flops / (effective_tflops * 1e6)
 
         return np.maximum(level_costs.max(axis=1), compute_us)
+
+    def memory_floor_us(self, result: DataflowResult) -> float:
+        """A cheap lower bound on :meth:`evaluate`: the global-memory stage.
+
+        It is computed with the same float operations as :meth:`evaluate`,
+        so ``memory_floor_us(r) <= evaluate(r)`` holds exactly.  A subclass
+        that overrides :meth:`evaluate` gets no bound (``-inf``).
+        """
+        if type(self).evaluate is not CostModel.evaluate:
+            return -math.inf
+        volume = result.volumes.get(MemoryLevelName.GLOBAL, 0.0)
+        if volume <= 0:
+            return 0.0
+        table = self._level_bandwidths(result.geometry.blocks_per_cluster)
+        return volume / (table[MemoryLevelName.GLOBAL][0] * 1e3)
 
     def predicted_time_us(self, result: DataflowResult) -> float:
         """Predicted kernel time: the bottleneck stage plus launch overhead."""
@@ -208,16 +227,12 @@ class CostModel:
 
     def _occupied_sms(self, result: DataflowResult) -> int:
         """How many SMs the candidate's launch keeps busy."""
-        chain = result.chain
-        tile = result.tile
-        geometry = result.geometry
         blocks = 1
-        for dim in ("m", "n", "k", "l"):
+        for dim, extent in result.chain.dimension_sizes().items():
             if result.schedule.is_spatial(dim):
-                extent = chain.dimension_sizes()[dim]
-                blocks *= max(1, extent // max(1, tile.block_of(dim)))
+                blocks *= max(1, extent // max(1, result.tile.block_of(dim)))
             else:
-                blocks *= geometry.size_of(dim)
+                blocks *= result.geometry.size_of(dim)
         return max(1, min(self.device.num_sms, blocks))
 
     def _launch_overhead_us(self) -> float:

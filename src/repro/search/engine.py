@@ -1,8 +1,10 @@
 """Fusion search algorithm (Algorithm 2).
 
-The engine enumerates candidates, prunes them with Rules 1-5, analyses the
-survivors with the dataflow analyzer, ranks them with the minimax cost model
-while maintaining a top-K list, and finally "profiles" the top-K candidates —
+The engine prunes the candidate space with Rules 1-5 on its factor grid
+(:meth:`~repro.search.pruning.Pruner.prune_grid`), analyses the survivors
+with the dataflow analyzer in enumeration order, scores them in bounded
+batches with the minimax cost model while maintaining a top-K list, and
+finally "profiles" the top-K candidates —
 on real hardware this is an on-device measurement; in this reproduction it is
 the cycle-accurate-ish performance simulator (or any callable the caller
 provides) — to select the final execution plan.
@@ -13,7 +15,9 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.dataflow.analyzer import DataflowAnalyzer, DataflowResult
 from repro.hardware.spec import HardwareSpec
@@ -21,7 +25,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.trace import tracer
 from repro.search.cost_model import CostModel
 from repro.search.pruning import Pruner, PruningStats
-from repro.search.space import FusionCandidate, SearchSpace
+from repro.search.space import FusionCandidate, SearchSpace, SpaceComponents
 from repro.ir.graph import GemmChainSpec
 
 #: A profiler maps an analysed candidate to a measured/simulated time in us.
@@ -307,74 +311,25 @@ class SearchEngine:
                     }
                 return transferred
         start = time.perf_counter()
-        analyze_s = 0.0
-        rank_s = 0.0
-        profile_s = 0.0
         pruner = Pruner(self.device, include_dsm=self.include_dsm)
+        components = self.space.components(chain)
+        survivors = pruner.prune_grid(chain, components)
+        prune_s = time.perf_counter() - start
+        ranking = self._rank(chain, components, survivors)
 
-        enumerated = 0
-        analyzed = 0
-        skipped = 0
-        # Max-heap by (cost, analysis order): entries are (-cost, -counter),
-        # so the root is the worst of the current top-K and, among tied
-        # costs, the *latest* analysed — evicting it first keeps the top-K
-        # membership exactly "the K lexicographically smallest (cost, order)
-        # pairs", a fully deterministic rule the sharded parallel engine's
-        # merge reproduces independently of shard boundaries.
-        heap: List[Tuple[float, int, RankedPlan]] = []
-        counter = 0
-
-        candidates = self.space.candidates(chain)
-        for candidate in pruner.prune(candidates):
-            enumerated += 1
-            if self.max_candidates is not None and analyzed >= self.max_candidates:
-                # The analysis budget is exhausted; draining the rest of the
-                # pruned stream would only burn time without adding plans.
-                break
-            if (
-                self.lower_bound_prune
-                and len(heap) == self.top_k
-                and self.bounds.lower_bound(chain, candidate) > -heap[0][0]
-            ):
-                # The admissible bound already exceeds the K-th best cost:
-                # this candidate can neither enter the top-K nor change its
-                # order, so analysing it would be pure waste.
-                skipped += 1
-                continue
-            analyze_t0 = time.perf_counter()
-            result = self.analyzer.analyze(
-                chain,
-                candidate.schedule,
-                candidate.tile,
-                candidate.geometry,
-                gated_sequential=candidate.gated_sequential,
+        # Rank by cost with enumeration order as the tie-break, so the top-K
+        # ordering is fully deterministic wherever the survivors were scored.
+        ranked = [
+            (
+                RankedPlan(candidate=candidate, result=result, predicted_cost_us=cost),
+                index,
             )
-            analyze_s += time.perf_counter() - analyze_t0
-            analyzed += 1
-            if self.require_feasible and not result.feasible:
-                continue
-            cost = self.cost_model.evaluate(result)
-            plan = RankedPlan(
-                candidate=candidate, result=result, predicted_cost_us=cost
-            )
-            counter += 1
-            if len(heap) < self.top_k:
-                heapq.heappush(heap, (-cost, -counter, plan))
-            elif -heap[0][0] > cost:
-                heapq.heapreplace(heap, (-cost, -counter, plan))
-
-        # Rank by cost with analysis order as the tie-break, so the top-K
-        # ordering is fully deterministic (and reproducible by the sharded
-        # parallel engine, whose merge uses the same enumeration-order key).
-        rank_t0 = time.perf_counter()
-        ranked = sorted(
-            ((entry[2], -entry[1]) for entry in heap),
-            key=lambda pair: (pair[0].predicted_cost_us, pair[1]),
-        )
-        rank_s += time.perf_counter() - rank_t0
+            for cost, index, candidate, result in ranking.plans
+        ]
 
         # Final profiling of the top-K candidates (on-device measurement in
         # the paper, simulator here).
+        profile_s = 0.0
         if self.profiler is not None:
             profile_t0 = time.perf_counter()
             for plan, _ in ranked:
@@ -383,14 +338,11 @@ class SearchEngine:
             profile_s = time.perf_counter() - profile_t0
         top_k = [plan for plan, _ in ranked]
 
-        best = top_k[0] if top_k else None
         elapsed = time.perf_counter() - start
+        rank_s = max(0.0, elapsed - prune_s - ranking.analyze_s - profile_s)
         phase_times_us = {
-            "enumerate_prune": max(
-                0.0, elapsed - analyze_s - rank_s - profile_s
-            )
-            * 1e6,
-            "analyze": analyze_s * 1e6,
+            "enumerate_prune": prune_s * 1e6,
+            "analyze": ranking.analyze_s * 1e6,
             "rank": rank_s * 1e6,
             "profile": profile_s * 1e6,
         }
@@ -401,21 +353,35 @@ class SearchEngine:
                 start_us=end_us - elapsed * 1e6,
                 end_us=end_us,
                 chain=chain.name,
-                analyzed=analyzed,
-                skipped=skipped,
+                analyzed=ranking.analyzed,
+                skipped=ranking.skipped,
             )
-        stats = pruner.stats
-        stats.initial = max(stats.initial, enumerated)
         return SearchResult(
             chain=chain,
-            best=best,
+            best=top_k[0] if top_k else None,
             top_k=top_k,
-            pruning_stats=stats,
-            candidates_enumerated=stats.initial,
-            candidates_analyzed=analyzed,
+            pruning_stats=pruner.stats,
+            candidates_enumerated=pruner.stats.initial,
+            candidates_analyzed=ranking.analyzed,
             search_time_s=elapsed,
-            candidates_skipped=skipped,
+            candidates_skipped=ranking.skipped,
             phase_times_us=phase_times_us,
+        )
+
+    def _rank(
+        self, chain: GemmChainSpec, components: SpaceComponents, survivors: np.ndarray
+    ) -> SurvivorRanking:
+        """Analyze and score the pruned survivors, keeping the top-K."""
+        return rank_survivors(
+            chain,
+            components,
+            survivors,
+            self.analyzer,
+            self.cost_model,
+            keep=self.top_k,
+            require_feasible=self.require_feasible,
+            bounds=self.bounds if self.lower_bound_prune else None,
+            budget=self.max_candidates,
         )
 
     def _transfer_search(self, chain: GemmChainSpec, seed) -> Optional[SearchResult]:
@@ -434,3 +400,108 @@ class SearchEngine:
             analyzer=self.analyzer,
         )
         return transfer.search(chain, seed)
+
+
+#: Largest number of analysed survivors scored in one
+#: :meth:`CostModel.evaluate_batch` call; bounds the analyses held at once.
+SCORE_BATCH = 1024
+
+#: ``(predicted_cost_us, enumeration_index, candidate, analysis)``.
+ScoredPlan = Tuple[float, int, FusionCandidate, DataflowResult]
+
+
+@dataclass
+class SurvivorRanking:
+    """What analysing and scoring a run of pruned survivors yields."""
+
+    analyzed: int
+    skipped: int
+    #: At most ``keep`` entries: the smallest ``(cost, index)`` pairs, sorted.
+    plans: List[ScoredPlan]
+    #: Wall-clock seconds spent in the dataflow analyzer.
+    analyze_s: float
+
+
+def rank_survivors(
+    chain: GemmChainSpec,
+    components: SpaceComponents,
+    survivors: Sequence[int],
+    analyzer: DataflowAnalyzer,
+    cost_model: CostModel,
+    keep: int,
+    require_feasible: bool = True,
+    bounds=None,
+    budget: Optional[int] = None,
+) -> SurvivorRanking:
+    """Analyze survivors in enumeration order and keep the ``keep`` best.
+
+    Feasible analyses are scored with :meth:`CostModel.evaluate_batch` in
+    batches of at most :data:`SCORE_BATCH`.  The running top-K holds the
+    ``keep`` lexicographically smallest ``(cost, index)`` pairs, so the
+    result does not depend on batch or shard boundaries.  An analysis whose
+    :meth:`CostModel.memory_floor_us` already reaches the worst kept cost
+    is not scored: it could at best tie that cost, and it loses the tie.
+
+    With ``bounds`` (a
+    :class:`~repro.search.incremental.CandidateLowerBound`) a survivor whose
+    admissible lower bound strictly exceeds the K-th best cost is skipped
+    unanalysed; each analysis is then scored at once, so the threshold is
+    always current.  ``budget`` caps the analyses.
+    """
+    # Max-heap by (cost, index): entries are (-cost, -index, analysis), so
+    # the root is the worst kept plan.  A new arrival has the largest index
+    # so far and loses cost ties, so it replaces the root only when strictly
+    # cheaper.  Indices are unique: comparisons never reach the analysis.
+    heap: List[Tuple[float, int, DataflowResult]] = []
+    pending: List[Tuple[int, DataflowResult]] = []
+    batch = 1 if bounds is not None else SCORE_BATCH
+    analyzed = 0
+    skipped = 0
+    analyze_s = 0.0
+
+    def score_pending() -> None:
+        costs = cost_model.evaluate_batch([result for _, result in pending])
+        for cost, (index, result) in zip(costs.tolist(), pending):
+            if len(heap) < keep:
+                heapq.heappush(heap, (-cost, -index, result))
+            elif -heap[0][0] > cost:
+                heapq.heapreplace(heap, (-cost, -index, result))
+        pending.clear()
+
+    indices = np.asarray(survivors, dtype=np.intp)
+    # decompose() is plain integer arithmetic, so it maps the whole array.
+    parts = [part.tolist() for part in components.decompose(indices)]
+    for index, schedule, geometry, tile, gated in zip(map(int, indices), *parts):
+        if budget is not None and analyzed >= budget:
+            break
+        if bounds is not None and len(heap) == keep:
+            candidate = components.candidate(chain, index)
+            if bounds.lower_bound(chain, candidate) > -heap[0][0]:
+                skipped += 1
+                continue
+        analyze_t0 = time.perf_counter()
+        result = analyzer.analyze(
+            chain,
+            components.schedules[schedule],
+            components.tiles[tile],
+            components.geometries[geometry],
+            gated_sequential=components.gated_modes[gated],
+        )
+        analyze_s += time.perf_counter() - analyze_t0
+        analyzed += 1
+        if require_feasible and not result.feasible:
+            continue
+        # The heap reflects the last scored batch; its worst cost only falls
+        # over time, so a stale threshold never skips a plan that could enter.
+        if len(heap) == keep and cost_model.memory_floor_us(result) >= -heap[0][0]:
+            continue
+        pending.append((index, result))
+        if len(pending) >= batch:
+            score_pending()
+    score_pending()
+
+    plans = [
+        (-neg_cost, -neg_index, components.candidate(chain, -neg_index), result)
+        for neg_cost, neg_index, result in sorted(heap, reverse=True)
+    ]
+    return SurvivorRanking(analyzed, skipped, plans, analyze_s)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dataclass_replace

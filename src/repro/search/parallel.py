@@ -1,36 +1,22 @@
 """Parallel sharded fusion search (Algorithm 2, fanned across processes).
 
-The serial :class:`~repro.search.engine.SearchEngine` walks the candidate
-space in one Python loop — the compile-time hot path a cold compile pays in
-full.  This module shards that walk: the enumeration index range is split
-into chunks, each chunk is searched independently (prune → analyze →
-batched cost-model rank, keeping only a local top-K), and the per-shard
-top-K lists are merged into the global top-K, which is then profiled once
-in the parent.  Because every candidate carries its global enumeration
-index and the batched scorer is bit-identical to the scalar one, the merge
-reproduces the serial ranking exactly — the selected plan is guaranteed to
-be the same plan the serial engine picks.
+:class:`ParallelSearchEngine` runs the serial
+:class:`~repro.search.engine.SearchEngine` up to the pruned survivor list —
+the factor-grid prune of :meth:`~repro.search.pruning.Pruner.prune_grid`
+runs once, in the parent, and fixes the Table III counts.  It then splits
+the survivor list into equal chunks and fans their analysis out to worker
+processes.  Each worker analyzes and batch-scores its chunk with the same
+:func:`~repro.search.engine.rank_survivors` the serial engine uses and
+returns its local top-K; the parent merges them by ``(cost, enumeration
+index)`` and profiles the global top-K once.  The merge key is the serial
+engine's own tie-break, so the selected plan, the top-K order and every
+counter are identical to the serial engine's.
 
-Two mechanisms make the sharding efficient:
-
-* **Per-shard memoization.**  Pruning Rules 1-4 depend on strict subsets of
-  the (schedule, geometry, tile) triple, so a shard evaluates each rule
-  once per distinct key instead of once per candidate, and candidate
-  objects are only constructed for survivors.  Rule outcomes are identical
-  to the serial cascade, so the per-rule survivor counts (Table III) merge
-  additively.
-* **Adaptive shard sizing.**  Prune rates vary wildly across the space
-  (schedule-major regions prune at very different rates), so static chunks
-  load-balance poorly.  :class:`AdaptiveShardSizer` re-targets the chunk
-  size from observed per-shard prune rates — a work-stealing-style dynamic
-  rebalancing in the spirit of hp-adaptive load balancing — keeping the
-  *analysis* work per shard roughly constant.  Shard boundaries affect only
-  wall-clock, never the selected plan.
-
-With a single worker the engine skips the process pool entirely and runs
-the same memoized, batch-scored shard loop inline, which is itself faster
-than the serial engine — so ``parallelism=1`` is a sound default on
-single-core hosts.
+Survivor counts are known before the first chunk is submitted and each
+survivor costs about one analysis, so equal chunks balance the pool.
+Below :data:`MIN_POOL_SURVIVORS` survivors, with one worker, or under an
+analysis budget, the survivors are ranked inline exactly as in the serial
+engine.
 """
 
 from __future__ import annotations
@@ -40,24 +26,24 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import Executor, ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
-from repro.dataflow.analyzer import DataflowAnalyzer, DataflowResult
+import numpy as np
+
+from repro.dataflow.analyzer import DataflowAnalyzer
 from repro.hardware.spec import HardwareSpec
 from repro.ir.graph import GemmChainSpec
-from repro.obs.trace import tracer
 from repro.search.cost_model import CostModel
-from repro.search.engine import ProfilerFn, RankedPlan, SearchEngine, SearchResult
-from repro.search.incremental import (
-    CandidateLowerBound,
-    SubchainAnalysisCache,
-    TransferSearch,
-    TransferSeed,
+from repro.search.engine import (
+    ProfilerFn,
+    SearchEngine,
+    SurvivorRanking,
+    rank_survivors,
 )
-from repro.search.pruning import Pruner, PruningRule, PruningStats
-from repro.search.space import FusionCandidate, SearchSpace
+from repro.search.incremental import CandidateLowerBound, SubchainAnalysisCache
+from repro.search.space import SearchSpace, SpaceComponents
 
 
 @dataclass(frozen=True)
@@ -93,14 +79,18 @@ class SpaceConfig:
         )
 
 
+#: Fewer pruned survivors than this are ranked inline: a pool round trip
+#: would cost more than it saves.
+MIN_POOL_SURVIVORS = 512
+
+
 @dataclass(frozen=True)
 class ShardTask:
-    """One chunk of the candidate space, self-contained and picklable.
+    """One chunk of the pruned survivors, self-contained and picklable.
 
-    Workers reconstruct the enumeration from ``(chain, start, stop)`` via
-    :meth:`SearchSpace.candidates_range` semantics instead of receiving
-    pickled candidates, so task payloads stay ~1 KB regardless of chunk
-    size.
+    Workers rebuild candidates from enumeration indices via
+    :meth:`~repro.search.space.SpaceComponents.candidate` instead of
+    receiving pickled candidates.
     """
 
     device: HardwareSpec
@@ -110,8 +100,8 @@ class ShardTask:
     require_feasible: bool
     keep: int
     compute_efficiency: float
-    start: int
-    stop: int
+    #: Enumeration indices of the chunk's survivors, in enumeration order.
+    indices: Tuple[int, ...]
     #: Memoize kind-independent analysis cores within the worker process.
     incremental: bool = True
     #: Skip analyses whose admissible lower bound exceeds the shard-local
@@ -141,136 +131,35 @@ class ShardTask:
         )
 
 
-@dataclass
-class ShardOutcome:
-    """What one shard sends back: local top-K plus merge-ready statistics."""
-
-    start: int
-    stop: int
-    enumerated: int
-    analyzed: int
-    rule_counts: Dict[PruningRule, int]
-    #: ``(predicted_cost_us, global_index, candidate, analysis)`` tuples,
-    #: at most ``keep`` of them, sorted by ``(cost, index)``.
-    plans: List[Tuple[float, int, FusionCandidate, DataflowResult]]
-    elapsed_s: float = 0.0
-    #: Candidates skipped by the admissible lower bound (0 unless the task
-    #: enables ``lower_bound_prune``).
-    skipped: int = 0
-
-    @property
-    def survival_rate(self) -> float:
-        """Fraction of enumerated candidates that reached analysis."""
-        if self.enumerated <= 0:
-            return 0.0
-        return self.analyzed / self.enumerated
-
-
 class _ShardContext:
     """Per-process state reused across the shards of one logical search.
 
     Workers are long-lived: the first shard of a search builds the component
-    lists, analyzer and memo tables; subsequent shards of the same search
-    (same :meth:`ShardTask.context_key`) reuse them, so rule memoization
-    compounds across chunks.
+    lists and analyzer; subsequent shards of the same search (same
+    :meth:`ShardTask.context_key`) reuse them, so the subchain analysis
+    cache compounds across chunks.
     """
 
     def __init__(self, task: ShardTask) -> None:
-        self.device = task.device
         self.chain = task.chain
-        space = task.space.build(self.device)
-        self.components = space.components(self.chain)
-        self.analysis_cache = (
-            SubchainAnalysisCache(
-                context=json.dumps(
-                    self.device.fingerprint(), sort_keys=True, default=str
-                )
-            )
-            if task.incremental
-            else None
-        )
+        self.components = task.space.build(task.device).components(task.chain)
         self.analyzer = DataflowAnalyzer(
-            self.device,
+            task.device,
             include_dsm=task.include_dsm,
-            analysis_cache=self.analysis_cache,
+            analysis_cache=(
+                SubchainAnalysisCache(
+                    context=json.dumps(
+                        task.device.fingerprint(), sort_keys=True, default=str
+                    )
+                )
+                if task.incremental
+                else None
+            ),
         )
         self.cost_model = CostModel(
-            self.device, compute_efficiency=task.compute_efficiency
+            task.device, compute_efficiency=task.compute_efficiency
         )
-        self.bounds = CandidateLowerBound(self.device, self.cost_model)
-        self.pruner = Pruner(self.device, include_dsm=task.include_dsm)
-        self._rule1: Dict[Tuple[int, int], bool] = {}
-        self._rule2: Dict[int, bool] = {}
-        self._rule3: Dict[Tuple[int, int, int], bool] = {}
-        self._rule4: Dict[Tuple[int, int, int, int], bool] = {}
-        self._rule5: Dict[Tuple[int, int, int], bool] = {}
-
-    def _probe(
-        self, schedule_index: int, geometry_index: int, tile_index: int
-    ) -> FusionCandidate:
-        """A candidate object for rule evaluation (gated mode irrelevant)."""
-        return FusionCandidate(
-            chain=self.chain,
-            schedule=self.components.schedules[schedule_index],
-            tile=self.components.tiles[tile_index],
-            geometry=self.components.geometries[geometry_index],
-        )
-
-    # The memo keys are exactly the rule inputs: Rules 1-2 ignore the loop
-    # schedule, Rule 3 reads only (schedule, block_k, cls_k), Rule 4 only
-    # (schedule, block_n, block_l, cls_l); no rule reads the gated mode.
-    def rule1(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        key = (tile_index, geometry_index)
-        verdict = self._rule1.get(key)
-        if verdict is None:
-            verdict = self.pruner.rule1_divisible_tiles(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule1[key] = verdict
-        return verdict
-
-    def rule2(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        verdict = self._rule2.get(geometry_index)
-        if verdict is None:
-            verdict = self.pruner.rule2_cluster_size(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule2[geometry_index] = verdict
-        return verdict
-
-    def rule3(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        tile = self.components.tiles[tile_index]
-        geometry = self.components.geometries[geometry_index]
-        key = (schedule_index, tile.block_k, geometry.cls_k)
-        verdict = self._rule3.get(key)
-        if verdict is None:
-            verdict = self.pruner.rule3_activation(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule3[key] = verdict
-        return verdict
-
-    def rule4(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        tile = self.components.tiles[tile_index]
-        geometry = self.components.geometries[geometry_index]
-        key = (schedule_index, tile.block_n, tile.block_l, geometry.cls_l)
-        verdict = self._rule4.get(key)
-        if verdict is None:
-            verdict = self.pruner.rule4_dependency(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule4[key] = verdict
-        return verdict
-
-    def rule5(self, schedule_index: int, geometry_index: int, tile_index: int) -> bool:
-        key = (schedule_index, tile_index, geometry_index)
-        verdict = self._rule5.get(key)
-        if verdict is None:
-            verdict = self.pruner.rule5_memory_capacity(
-                self._probe(schedule_index, geometry_index, tile_index)
-            )
-            self._rule5[key] = verdict
-        return verdict
+        self.bounds = CandidateLowerBound(task.device, self.cost_model)
 
 
 #: Per-process context cache; at most one live search context per key.
@@ -295,228 +184,26 @@ def _context_for(task: ShardTask) -> _ShardContext:
     return context
 
 
-def _search_shard(task: ShardTask) -> ShardOutcome:
-    """Search one chunk: enumerate → prune (memoized) → analyze → rank.
+def _search_shard(task: ShardTask) -> SurvivorRanking:
+    """Analyze and rank one chunk of survivors in a worker process.
 
     Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it; also called inline by the single-worker fast path.
+    pickle it.
     """
-    started = time.perf_counter()
     context = _context_for(task)
-    if task.lower_bound_prune:
-        return _search_shard_bounded(task, context, started)
-    components = context.components
-    decompose = components.decompose
-
-    counts = {rule: 0 for rule in PruningRule}
-    rules = (context.rule1, context.rule2, context.rule3, context.rule4, context.rule5)
-    rule_ids = tuple(PruningRule)
-
-    indices: List[int] = []
-    candidates: List[FusionCandidate] = []
-    analyses: List[DataflowResult] = []
-    analyzed = 0
-    for index in range(task.start, task.stop):
-        schedule_index, geometry_index, tile_index, gated_index = decompose(index)
-
-        # The serial cascade short-circuits at the first failing rule and
-        # counts survivors per rule; the memoized cascade replicates both.
-        alive = True
-        for rule_id, rule in zip(rule_ids, rules):
-            if not rule(schedule_index, geometry_index, tile_index):
-                alive = False
-                break
-            counts[rule_id] += 1
-        if not alive:
-            continue
-
-        candidate = FusionCandidate(
-            chain=context.chain,
-            schedule=components.schedules[schedule_index],
-            tile=components.tiles[tile_index],
-            geometry=components.geometries[geometry_index],
-            gated_sequential=components.gated_modes[gated_index],
-        )
-        result = context.analyzer.analyze(
-            candidate.chain,
-            candidate.schedule,
-            candidate.tile,
-            candidate.geometry,
-            gated_sequential=candidate.gated_sequential,
-        )
-        analyzed += 1
-        if task.require_feasible and not result.feasible:
-            continue
-        indices.append(index)
-        candidates.append(candidate)
-        analyses.append(result)
-
-    costs = context.cost_model.evaluate_batch(analyses)
-    plans = heapq.nsmallest(
-        task.keep,
-        (
-            (float(cost), index, candidate, result)
-            for cost, index, candidate, result in zip(
-                costs, indices, candidates, analyses
-            )
-        ),
-        key=lambda entry: (entry[0], entry[1]),
-    )
-    return ShardOutcome(
-        start=task.start,
-        stop=task.stop,
-        enumerated=task.stop - task.start,
-        analyzed=analyzed,
-        rule_counts=counts,
-        plans=plans,
-        elapsed_s=time.perf_counter() - started,
+    return rank_survivors(
+        task.chain,
+        context.components,
+        task.indices,
+        context.analyzer,
+        context.cost_model,
+        keep=task.keep,
+        require_feasible=task.require_feasible,
+        bounds=context.bounds if task.lower_bound_prune else None,
     )
 
 
-def _search_shard_bounded(
-    task: ShardTask, context: _ShardContext, started: float
-) -> ShardOutcome:
-    """Shard search with admissible lower-bound skipping.
-
-    Scores candidates one at a time (the scalar scorer is bit-identical to
-    the batched one) while maintaining the shard-local top-``keep`` heap,
-    so a candidate whose lower bound strictly exceeds the current K-th
-    smallest cost is never analysed.  A skipped candidate's true cost is at
-    least its bound, hence strictly above the heap's worst entry — and a
-    later enumeration index loses cost ties anyway — so the returned plans
-    are exactly the ``keep`` smallest ``(cost, index)`` pairs of the chunk,
-    identical to the default path's; only ``analyzed`` shrinks.
-    """
-    components = context.components
-    decompose = components.decompose
-
-    counts = {rule: 0 for rule in PruningRule}
-    rules = (context.rule1, context.rule2, context.rule3, context.rule4, context.rule5)
-    rule_ids = tuple(PruningRule)
-
-    # Max-heap of (-cost, -index, candidate, result): the root is the worst
-    # (cost, index) of the current shard-local top-K.  Indices are unique,
-    # so tuple comparison never reaches the (unorderable) candidate.
-    heap: List[Tuple[float, int, FusionCandidate, DataflowResult]] = []
-    analyzed = 0
-    skipped = 0
-    for index in range(task.start, task.stop):
-        schedule_index, geometry_index, tile_index, gated_index = decompose(index)
-
-        alive = True
-        for rule_id, rule in zip(rule_ids, rules):
-            if not rule(schedule_index, geometry_index, tile_index):
-                alive = False
-                break
-            counts[rule_id] += 1
-        if not alive:
-            continue
-
-        candidate = FusionCandidate(
-            chain=context.chain,
-            schedule=components.schedules[schedule_index],
-            tile=components.tiles[tile_index],
-            geometry=components.geometries[geometry_index],
-            gated_sequential=components.gated_modes[gated_index],
-        )
-        if (
-            len(heap) == task.keep
-            and context.bounds.lower_bound(task.chain, candidate) > -heap[0][0]
-        ):
-            skipped += 1
-            continue
-        result = context.analyzer.analyze(
-            candidate.chain,
-            candidate.schedule,
-            candidate.tile,
-            candidate.geometry,
-            gated_sequential=candidate.gated_sequential,
-        )
-        analyzed += 1
-        if task.require_feasible and not result.feasible:
-            continue
-        cost = context.cost_model.evaluate(result)
-        if len(heap) < task.keep:
-            heapq.heappush(heap, (-cost, -index, candidate, result))
-        elif -heap[0][0] > cost:
-            heapq.heapreplace(heap, (-cost, -index, candidate, result))
-
-    plans = sorted(
-        (
-            (-neg_cost, -neg_index, candidate, result)
-            for neg_cost, neg_index, candidate, result in heap
-        ),
-        key=lambda entry: (entry[0], entry[1]),
-    )
-    return ShardOutcome(
-        start=task.start,
-        stop=task.stop,
-        enumerated=task.stop - task.start,
-        analyzed=analyzed,
-        rule_counts=counts,
-        plans=plans,
-        elapsed_s=time.perf_counter() - started,
-        skipped=skipped,
-    )
-
-
-@dataclass
-class AdaptiveShardSizer:
-    """Rebalance chunk sizes from observed per-shard prune rates.
-
-    Analysis, not enumeration, dominates shard cost, and the fraction of a
-    chunk surviving the pruning cascade varies by orders of magnitude across
-    schedule-major regions of the space.  The sizer tracks an exponential
-    moving average of the survival rate and sizes the next chunk so its
-    *expected analysis work* stays near ``target_analyzed`` — sparse regions
-    get large chunks, dense regions small ones.  Chunk boundaries never
-    change the selected plan (the global merge is order-independent), so the
-    feedback loop is free to react to completion order.
-    """
-
-    target_analyzed: int = 768
-    initial_chunk: int = 8192
-    min_chunk: int = 1024
-    max_chunk: int = 131072
-    smoothing: float = 0.5
-    _survival_rate: Optional[float] = field(default=None, init=False, repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.target_analyzed < 1:
-            raise ValueError("target_analyzed must be >= 1")
-        if not 0 < self.min_chunk <= self.initial_chunk <= self.max_chunk:
-            raise ValueError("require 0 < min_chunk <= initial_chunk <= max_chunk")
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-
-    def next_chunk_size(self) -> int:
-        """Chunk size for the next shard submission."""
-        with self._lock:
-            rate = self._survival_rate
-        if rate is None:
-            return self.initial_chunk
-        size = int(self.target_analyzed / max(rate, 1e-4))
-        return max(self.min_chunk, min(self.max_chunk, size))
-
-    def observe(self, enumerated: int, analyzed: int) -> None:
-        """Fold one shard's observed prune rate into the estimate."""
-        if enumerated <= 0:
-            return
-        rate = analyzed / enumerated
-        with self._lock:
-            if self._survival_rate is None:
-                self._survival_rate = rate
-            else:
-                self._survival_rate = (
-                    self.smoothing * rate
-                    + (1.0 - self.smoothing) * self._survival_rate
-                )
-
-
-class ParallelSearchEngine:
+class ParallelSearchEngine(SearchEngine):
     """Sharded, process-parallel drop-in for :class:`SearchEngine`.
 
     Exposes the same ``search(chain) -> SearchResult`` contract and — by
@@ -530,22 +217,15 @@ class ParallelSearchEngine:
         Target hardware, as for :class:`SearchEngine`.
     parallelism:
         Worker-process count; defaults to ``os.cpu_count()``.  With one
-        worker the shard loop runs inline (no pool, no pickling) but still
-        benefits from memoized pruning and batched scoring.
+        worker the survivors are ranked inline, as in :class:`SearchEngine`.
     executor:
         Optional externally managed executor (shared across engines); when
         provided it is not shut down by :meth:`close` and ``parallelism``
-        only bounds in-flight shard submissions.
-    sizer:
-        Chunk-size policy; defaults to a fresh :class:`AdaptiveShardSizer`.
-    max_candidates:
-        Analysis budget.  Budgeted searches depend on enumeration order in a
-        way sharding cannot reproduce cheaply, so they are delegated to the
-        serial engine.
+        sets the number of survivor chunks.
 
     The remaining parameters mirror :class:`SearchEngine`.  One caveat: a
-    custom ``cost_model`` is honoured for budgeted (serial-fallback)
-    searches, but shard workers always score with a stock
+    custom ``cost_model`` is honoured for searches ranked inline (budgeted
+    ones included), but shard workers always score with a stock
     :class:`CostModel` rebuilt from ``compute_efficiency`` — subclassed
     models do not transfer across the process boundary.
 
@@ -583,93 +263,31 @@ class ParallelSearchEngine:
         max_candidates: Optional[int] = None,
         parallelism: Optional[int] = None,
         executor: Optional[Executor] = None,
-        sizer: Optional[AdaptiveShardSizer] = None,
         incremental: bool = True,
         lower_bound_prune: bool = False,
         transfer_bound: float = 2.0,
     ) -> None:
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        self.device = device
-        self.top_k = top_k
-        self.include_dsm = include_dsm and device.has_dsm
-        self.profiler = profiler
-        self.space = space or SearchSpace(device, include_clusters=self.include_dsm)
-        self.cost_model = cost_model or CostModel(device)
-        self.require_feasible = require_feasible
-        self.max_candidates = max_candidates
-        self.incremental = incremental
-        self.lower_bound_prune = lower_bound_prune
-        self.transfer_bound = transfer_bound
-        # Warm-start transfer searches run inline in the parent (their
-        # neighborhoods are a few hundred candidates — not worth a pool
-        # round-trip) and share one analyzer so the subchain cache compounds
-        # across transfers.
-        self._transfer = TransferSearch(
+        super().__init__(
             device,
-            space=self.space,
-            cost_model=self.cost_model,
-            top_k=self.top_k,
-            include_dsm=self.include_dsm,
-            require_feasible=self.require_feasible,
-            transfer_bound=self.transfer_bound,
-            profiler=self.profiler,
-            analyzer=DataflowAnalyzer(
-                device,
-                include_dsm=self.include_dsm,
-                analysis_cache=(
-                    SubchainAnalysisCache(
-                        context=json.dumps(
-                            device.fingerprint(), sort_keys=True, default=str
-                        )
-                    )
-                    if incremental
-                    else None
-                ),
-            ),
+            top_k=top_k,
+            include_dsm=include_dsm,
+            profiler=profiler,
+            space=space,
+            cost_model=cost_model,
+            require_feasible=require_feasible,
+            max_candidates=max_candidates,
+            incremental=incremental,
+            lower_bound_prune=lower_bound_prune,
+            transfer_bound=transfer_bound,
         )
         self.parallelism = max(
             1, parallelism if parallelism is not None else (os.cpu_count() or 1)
         )
-        self.sizer = sizer or AdaptiveShardSizer()
         self._external_executor = executor
         self._owned_executor: Optional[ProcessPoolExecutor] = None
         # compile()/search() may be called concurrently from a thread pool
         # (BatchCompiler, KernelServer); guard the lazy pool creation.
         self._executor_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # Search
-    # ------------------------------------------------------------------ #
-    def search(
-        self, chain: GemmChainSpec, transfer_seed: Optional[TransferSeed] = None
-    ) -> SearchResult:
-        """Find the best fused plan — identical to the serial engine's.
-
-        A ``transfer_seed`` (from a previously compiled nearby shape)
-        triggers a bounded local search first, exactly as in
-        :meth:`SearchEngine.search`; the sharded full enumeration only runs
-        when the transfer is rejected.
-        """
-        if transfer_seed is not None:
-            with tracer().span("search.transfer", chain=chain.name) as tspan:
-                transferred = self._transfer.search(chain, transfer_seed)
-                tspan.set("accepted", transferred is not None)
-            if transferred is not None:
-                if transferred.phase_times_us is None:
-                    transferred.phase_times_us = {
-                        "transfer": transferred.search_time_s * 1e6
-                    }
-                return transferred
-        if self.max_candidates is not None:
-            return self._serial_engine().search(chain)
-        start = time.perf_counter()
-        total = self.space.size_estimate(chain)
-        if self.parallelism <= 1 or self._total_too_small(total):
-            outcomes = self._run_inline(chain, total)
-        else:
-            outcomes = self._run_pool(chain, total)
-        return self._merge(chain, outcomes, time.perf_counter() - start)
 
     def close(self) -> None:
         """Shut down the engine-owned worker pool (idempotent)."""
@@ -685,9 +303,40 @@ class ParallelSearchEngine:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Shard scheduling
+    # Sharded ranking
     # ------------------------------------------------------------------ #
-    def _task(self, chain: GemmChainSpec, start: int, stop: int) -> ShardTask:
+    def _rank(
+        self, chain: GemmChainSpec, components: SpaceComponents, survivors: np.ndarray
+    ) -> SurvivorRanking:
+        """Rank the survivors across the pool; the merge is order-free."""
+        if (
+            self.parallelism <= 1
+            or self.max_candidates is not None
+            or len(survivors) < MIN_POOL_SURVIVORS
+        ):
+            return super()._rank(chain, components, survivors)
+        started = time.perf_counter()
+        executor = self._ensure_executor()
+        chunk = -(-len(survivors) // self.parallelism)
+        futures = [
+            executor.submit(_search_shard, self._task(chain, survivors[i : i + chunk]))
+            for i in range(0, len(survivors), chunk)
+        ]
+        outcomes = [future.result() for future in futures]
+        plans = heapq.nsmallest(
+            self.top_k,
+            (plan for outcome in outcomes for plan in outcome.plans),
+            key=lambda plan: (plan[0], plan[1]),
+        )
+        return SurvivorRanking(
+            analyzed=sum(outcome.analyzed for outcome in outcomes),
+            skipped=sum(outcome.skipped for outcome in outcomes),
+            plans=plans,
+            # Shards analyze concurrently: their wall time is the analysis.
+            analyze_s=time.perf_counter() - started,
+        )
+
+    def _task(self, chain: GemmChainSpec, indices: np.ndarray) -> ShardTask:
         return ShardTask(
             device=self.device,
             chain=chain,
@@ -696,51 +345,10 @@ class ParallelSearchEngine:
             require_feasible=self.require_feasible,
             keep=self.top_k,
             compute_efficiency=self.cost_model.compute_efficiency,
-            start=start,
-            stop=stop,
+            indices=tuple(indices.tolist()),
             incremental=self.incremental,
             lower_bound_prune=self.lower_bound_prune,
         )
-
-    def _total_too_small(self, total: int) -> bool:
-        """Whether fanning out would cost more than it saves."""
-        return total <= self.sizer.min_chunk
-
-    def _run_inline(self, chain: GemmChainSpec, total: int) -> List[ShardOutcome]:
-        outcomes: List[ShardOutcome] = []
-        frontier = 0
-        while frontier < total:
-            stop = min(total, frontier + self.sizer.next_chunk_size())
-            outcome = _search_shard(self._task(chain, frontier, stop))
-            self.sizer.observe(outcome.enumerated, outcome.analyzed)
-            outcomes.append(outcome)
-            frontier = stop
-        return outcomes
-
-    def _run_pool(self, chain: GemmChainSpec, total: int) -> List[ShardOutcome]:
-        executor = self._ensure_executor()
-        outcomes: List[ShardOutcome] = []
-        inflight: Dict[object, Tuple[int, int]] = {}
-        # Keep the pool saturated without racing ahead of the sizer: a
-        # bounded queue lets early prune-rate observations steer the
-        # chunking of the space's tail.
-        depth = self.parallelism * 2
-        frontier = 0
-        while frontier < total or inflight:
-            while frontier < total and len(inflight) < depth:
-                stop = min(total, frontier + self.sizer.next_chunk_size())
-                future = executor.submit(
-                    _search_shard, self._task(chain, frontier, stop)
-                )
-                inflight[future] = (frontier, stop)
-                frontier = stop
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                del inflight[future]
-                outcome = future.result()
-                self.sizer.observe(outcome.enumerated, outcome.analyzed)
-                outcomes.append(outcome)
-        return outcomes
 
     def _ensure_executor(self) -> Executor:
         if self._external_executor is not None:
@@ -749,85 +357,3 @@ class ParallelSearchEngine:
             if self._owned_executor is None:
                 self._owned_executor = ProcessPoolExecutor(max_workers=self.parallelism)
             return self._owned_executor
-
-    # ------------------------------------------------------------------ #
-    # Merge
-    # ------------------------------------------------------------------ #
-    def _merge(
-        self,
-        chain: GemmChainSpec,
-        outcomes: List[ShardOutcome],
-        elapsed_s: float,
-    ) -> SearchResult:
-        initial = 0
-        analyzed = 0
-        skipped = 0
-        rule_counts = {rule: 0 for rule in PruningRule}
-        entries: List[Tuple[float, int, FusionCandidate, DataflowResult]] = []
-        for outcome in outcomes:
-            initial += outcome.enumerated
-            analyzed += outcome.analyzed
-            skipped += outcome.skipped
-            for rule, count in outcome.rule_counts.items():
-                rule_counts[rule] += count
-            entries.extend(outcome.plans)
-
-        # Global top-K: the K smallest by (cost, enumeration index), exactly
-        # the serial heap's selection and tie-break rule.
-        rank_start = time.perf_counter()
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
-        ranked: List[Tuple[RankedPlan, int]] = [
-            (
-                RankedPlan(candidate=candidate, result=result, predicted_cost_us=cost),
-                index,
-            )
-            for cost, index, candidate, result in entries[: self.top_k]
-        ]
-        rank_s = time.perf_counter() - rank_start
-
-        profile_s = 0.0
-        if self.profiler is not None:
-            profile_start = time.perf_counter()
-            for plan, _ in ranked:
-                plan.profiled_time_us = self.profiler(plan.result)
-            ranked.sort(key=lambda pair: (pair[0].best_known_time_us, pair[1]))
-            profile_s = time.perf_counter() - profile_start
-
-        top_k = [plan for plan, _ in ranked]
-        stats = PruningStats(initial=initial, surviving=dict(rule_counts))
-        return SearchResult(
-            chain=chain,
-            best=top_k[0] if top_k else None,
-            top_k=top_k,
-            pruning_stats=stats,
-            candidates_enumerated=initial,
-            candidates_analyzed=analyzed,
-            search_time_s=elapsed_s,
-            candidates_skipped=skipped,
-            # Shards fuse enumeration, pruning and analysis in one pass, so
-            # the sharded wall time is attributed to "analyze" wholesale;
-            # only the merge-side rank and profile phases are measured.
-            phase_times_us={
-                "analyze": elapsed_s * 1e6,
-                "rank": rank_s * 1e6,
-                "profile": profile_s * 1e6,
-            },
-        )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _serial_engine(self) -> SearchEngine:
-        return SearchEngine(
-            self.device,
-            top_k=self.top_k,
-            include_dsm=self.include_dsm,
-            profiler=self.profiler,
-            space=self.space,
-            cost_model=self.cost_model,
-            require_feasible=self.require_feasible,
-            max_candidates=self.max_candidates,
-            incremental=self.incremental,
-            lower_bound_prune=self.lower_bound_prune,
-            transfer_bound=self.transfer_bound,
-        )

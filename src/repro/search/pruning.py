@@ -21,18 +21,43 @@ analyzer.  Rule 1 (divisible tile sizes) is inherited from prior work
 * **Rule 5 — memory capacity limit**: the persistent intermediate must fit
   within the on-chip spill budget (registers + SMEM + DSM of the chosen
   cluster).
+
+Each rule reads only a small factor of a search point, its *factor key*:
+
+=====  ======================================================
+rule   factor key
+=====  ======================================================
+1      (geometry, tile)
+2      geometry
+3      (schedule, block_k, cls_k)
+4      (schedule, block_n, block_l, cls_l)
+5      (schedule, cluster tile, blocks per cluster)
+=====  ======================================================
+
+Rule 5 reads the tile and geometry only through the cluster tile (block
+tile times cluster size, per dimension) and the cluster's block count.  No
+rule reads the gated mode.  :meth:`Pruner.prune_grid` therefore calls each
+scalar rule method once per distinct factor key, broadcasts Rules 1-4 to
+boolean (schedule, geometry, tile) masks, evaluates Rule 5 only for the
+keys of points that survive them, and derives the Table III counts from
+the cumulative mask sums.  Searches, :meth:`Pruner.passes` and
+:meth:`Pruner.failed_rule` all run the same rule methods, so the search
+and the plan verifier cannot drift apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.dataflow.footprint import reused_tensor_footprint
 from repro.dataflow.resource_map import default_budgets
 from repro.hardware.spec import HardwareSpec
-from repro.search.space import FusionCandidate
+from repro.ir.graph import GemmChainSpec
+from repro.search.space import FusionCandidate, SpaceComponents
 
 
 class PruningRule(Enum):
@@ -230,23 +255,130 @@ class Pruner:
         return None
 
     def prune(self, candidates: Iterable[FusionCandidate]) -> Iterator[FusionCandidate]:
-        """Yield surviving candidates while accumulating Table III counts."""
-        counts = {rule_id: 0 for rule_id, _ in self.rules()}
+        """Yield the survivors of an ad-hoc candidate list, recording Table III.
+
+        Searches prune their whole space with :meth:`prune_grid`; this
+        wrapper over :meth:`failed_rule` serves hand-built lists.
+        """
+        order = list(PruningRule)
+        passed = [0] * len(order)
         initial = 0
         for candidate in candidates:
             initial += 1
-            alive = True
-            for rule_id, rule in self.rules():
-                if alive and rule(candidate):
-                    counts[rule_id] += 1
-                else:
-                    alive = False
-            if alive:
+            failed = self.failed_rule(candidate)
+            for depth in range(len(order) if failed is None else order.index(failed)):
+                passed[depth] += 1
+            if failed is None:
                 yield candidate
-        self.stats = PruningStats(initial=initial, surviving=dict(counts))
+        self.stats = PruningStats(initial=initial, surviving=dict(zip(order, passed)))
 
     def prune_list(
         self, candidates: Iterable[FusionCandidate]
     ) -> List[FusionCandidate]:
         """Materialised version of :meth:`prune`."""
         return list(self.prune(candidates))
+
+    def prune_grid(
+        self, chain: GemmChainSpec, components: SpaceComponents
+    ) -> np.ndarray:
+        """Prune a whole search space at the factor level of each rule.
+
+        Returns the enumeration indices (see
+        :meth:`~repro.search.space.SpaceComponents.decompose`) of the
+        surviving candidates, in enumeration order, and records the exact
+        per-rule survivor counts of the object-wise cascade in
+        :attr:`stats`.
+        """
+        schedules = components.schedules
+        geometries = components.geometries
+        tiles = components.tiles
+        shape = (len(schedules), len(geometries), len(tiles))
+        gated = len(components.gated_modes)
+        if 0 in shape:
+            self.stats = PruningStats(surviving=dict.fromkeys(PruningRule, 0))
+            return np.zeros(0, dtype=np.intp)
+
+        def probe(s: int, g: int, t: int) -> FusionCandidate:
+            return FusionCandidate(
+                chain=chain,
+                schedule=schedules[s],
+                tile=tiles[t],
+                geometry=geometries[g],
+            )
+
+        def table(dims: Tuple[int, ...], verdict) -> np.ndarray:
+            return np.fromiter(
+                (verdict(*key) for key in np.ndindex(*dims)),
+                dtype=bool,
+                count=int(np.prod(dims)),
+            ).reshape(dims)
+
+        def per_schedule(rule, geometry_key, tile_key) -> np.ndarray:
+            """A rule read once per (schedule, geometry key, tile key)."""
+            g_code, g_first = _factor([geometry_key(g) for g in geometries])
+            t_code, t_first = _factor([tile_key(t) for t in tiles])
+            verdicts = table(
+                (shape[0], len(g_first), len(t_first)),
+                lambda s, g, t: rule(probe(s, g_first[g], t_first[t])),
+            )
+            return verdicts[:, g_code[:, None], t_code[None, :]]
+
+        rule1 = table(
+            shape[1:], lambda g, t: self.rule1_divisible_tiles(probe(0, g, t))
+        )
+        rule2 = table(shape[1:2], lambda g: self.rule2_cluster_size(probe(0, g, 0)))
+        rule3 = per_schedule(
+            self.rule3_activation, lambda g: g.cls_k, lambda t: t.block_k
+        )
+        rule4 = per_schedule(
+            self.rule4_dependency, lambda g: g.cls_l, lambda t: (t.block_n, t.block_l)
+        )
+
+        # The cascade's cumulative mask; Rules 1-2 hold for every schedule.
+        alive = rule1 & rule2[:, None]
+        passed = [shape[0] * int(rule1.sum()), shape[0] * int(alive.sum())]
+        alive = alive & rule3
+        passed.append(int(alive.sum()))
+        alive &= rule4
+        passed.append(int(alive.sum()))
+        # Flat C-order positions of the grid are enumeration order.
+        points = np.flatnonzero(alive)
+        # Rule 5: one verdict per (schedule, cluster tile, cluster blocks).
+        pair, _ = _factor(
+            [
+                (*tile.cluster_tile(geometry).values(), geometry.blocks_per_cluster)
+                for geometry in geometries
+                for tile in tiles
+            ]
+        )
+        s, g, t = np.unravel_index(points, shape)
+        keys = s * len(pair) + pair.reshape(shape[1:])[g, t]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rule5 = np.fromiter(
+            (self.rule5_memory_capacity(probe(s[i], g[i], t[i])) for i in first),
+            dtype=bool,
+            count=len(first),
+        )
+        points = points[rule5[inverse]]
+
+        passed.append(len(points))
+        self.stats = PruningStats(
+            initial=int(np.prod(shape)) * gated,
+            surviving={
+                rule: count * gated for rule, count in zip(PruningRule, passed)
+            },
+        )
+        return (points[:, None] * gated + np.arange(gated)).ravel()
+
+
+def _factor(keys: List[Hashable]) -> Tuple[np.ndarray, List[int]]:
+    """Code each key by its distinct value; also the first position of each."""
+    codes: Dict[Hashable, int] = {}
+    firsts: List[int] = []
+    inverse = np.empty(len(keys), dtype=np.intp)
+    for position, key in enumerate(keys):
+        if key not in codes:
+            codes[key] = len(firsts)
+            firsts.append(position)
+        inverse[position] = codes[key]
+    return inverse, firsts

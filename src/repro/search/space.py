@@ -166,16 +166,11 @@ class SearchSpace:
     # ------------------------------------------------------------------ #
     def candidates(self, chain: GemmChainSpec) -> Iterator[FusionCandidate]:
         """Yield every candidate of the (restricted) initial space."""
-        gated_modes: Tuple[bool, ...] = (False,)
-        if chain.kind is ChainKind.GATED_FFN:
-            gated_modes = (False, True)
-        schedules = self.schedules()
-        geometries = self.geometries()
-        tiles = self.tiles(chain)
-        for schedule in schedules:
-            for geometry in geometries:
-                for tile in tiles:
-                    for gated_sequential in gated_modes:
+        parts = self.components(chain)
+        for schedule in parts.schedules:
+            for geometry in parts.geometries:
+                for tile in parts.tiles:
+                    for gated_sequential in parts.gated_modes:
                         yield FusionCandidate(
                             chain=chain,
                             schedule=schedule,
@@ -196,26 +191,11 @@ class SearchSpace:
         Candidates carry the index they occupy in the full :meth:`candidates`
         stream, so disjoint ``[start, stop)`` ranges partition the space
         deterministically: concatenating the slices in index order
-        reproduces the serial enumeration exactly.  This is the sharding
-        primitive of :class:`repro.search.parallel.ParallelSearchEngine` —
-        a worker reconstructs its shard from ``(chain, start, stop)`` alone
-        instead of receiving pickled candidates.
+        reproduces the serial enumeration exactly.
         """
         parts = components or self.components(chain)
-        total = parts.size
-        start = max(0, start)
-        stop = min(total, stop)
-        for index in range(start, stop):
-            schedule_index, geometry_index, tile_index, gated_index = parts.decompose(
-                index
-            )
-            yield index, FusionCandidate(
-                chain=chain,
-                schedule=parts.schedules[schedule_index],
-                tile=parts.tiles[tile_index],
-                geometry=parts.geometries[geometry_index],
-                gated_sequential=parts.gated_modes[gated_index],
-            )
+        for index in range(max(0, start), min(parts.size, stop)):
+            yield index, parts.candidate(chain, index)
 
     def components(self, chain: GemmChainSpec) -> "SpaceComponents":
         """The materialised component lists behind :meth:`candidates`."""
@@ -231,13 +211,7 @@ class SearchSpace:
 
     def size_estimate(self, chain: GemmChainSpec) -> int:
         """Number of candidates :meth:`candidates` will yield."""
-        gated_factor = 2 if chain.kind is ChainKind.GATED_FFN else 1
-        return (
-            len(self.schedules())
-            * len(self.geometries())
-            * len(self.tiles(chain))
-            * gated_factor
-        )
+        return self.components(chain).size
 
 
 @dataclass
@@ -268,11 +242,23 @@ class SpaceComponents:
         """Component indices ``(schedule, geometry, tile, gated)`` at ``index``.
 
         The single source of truth for the enumeration-order contract: both
-        :meth:`SearchSpace.candidates_range` and the parallel engine's shard
-        workers map global indices through this method, so the ordering can
-        never silently diverge between them.
+        :meth:`SearchSpace.candidates_range` and the search engines map
+        global indices through this method, so the ordering can never
+        silently diverge between them.  It is plain integer arithmetic, so
+        an integer numpy array of indices maps elementwise.
         """
         remainder, gated_index = divmod(index, len(self.gated_modes))
         remainder, tile_index = divmod(remainder, len(self.tiles))
         schedule_index, geometry_index = divmod(remainder, len(self.geometries))
         return schedule_index, geometry_index, tile_index, gated_index
+
+    def candidate(self, chain: GemmChainSpec, index: int) -> FusionCandidate:
+        """The candidate at enumeration position ``index``."""
+        schedule, geometry, tile, gated = self.decompose(index)
+        return FusionCandidate(
+            chain=chain,
+            schedule=self.schedules[schedule],
+            tile=self.tiles[tile],
+            geometry=self.geometries[geometry],
+            gated_sequential=self.gated_modes[gated],
+        )

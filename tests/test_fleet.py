@@ -301,10 +301,12 @@ class TestFleetBackpressure:
         config = FleetConfig(workers=1, watermark=1, retry_after_s=0.02, **FAST)
         with ServingFleet(config) as fleet:
             blocker = threading.Thread(
-                target=lambda: fleet.serve("G7", m=64), daemon=True
+                target=lambda: fleet.serve("S8", m=64), daemon=True
             )
             blocker.start()
-            assert _wait(lambda: len(fleet._pending) >= 1)
+            # The blocker's cold compile lasts only tens of milliseconds:
+            # poll finely so the in-flight window is not missed.
+            assert _wait(lambda: len(fleet._pending) >= 1, interval_s=0.001)
             rejected = fleet.request("G1", 64)
             assert rejected.rejected
             assert rejected.retry_after_s > 0
@@ -324,7 +326,7 @@ class TestFleetBackpressure:
                 target=lambda: fleet.serve("G8", m=64), daemon=True
             )
             blocker.start()
-            assert _wait(lambda: len(fleet._pending) >= 1)
+            assert _wait(lambda: len(fleet._pending) >= 1, interval_s=0.001)
             response = fleet.serve("G1", m=64, max_wait_s=0.01)
             assert response.rejected
             blocker.join(timeout=60.0)

@@ -16,8 +16,9 @@ plans:
 * :mod:`repro.graphs.plan` — :func:`compile_graph` and the
   :class:`ModelPlan` scheduler: extracted chains compile concurrently
   through the :class:`~repro.api.FlashFuser` submit/cache stack, residual
-  operators are charged on the performance simulator, and the result is a
-  topologically ordered plan with per-segment provenance;
+  operators are charged on the performance simulator once per extraction
+  (:func:`price_extraction`), and the result is a topologically ordered
+  plan with per-segment provenance;
 * :mod:`repro.graphs.server` — :class:`ModelServer`, the serving
   integration resolving every extracted chain through the existing
   table -> cache -> compile path with model-level serving stats.
@@ -36,10 +37,12 @@ from repro.graphs.rewrite import (
 from repro.graphs.plan import (
     KIND_FUSED,
     KIND_UNFUSED,
+    ExtractionPricing,
     ModelPlan,
     PlanSegment,
     assemble_plan,
     compile_graph,
+    price_extraction,
 )
 from repro.graphs.server import GraphFactory, ModelServeResponse, ModelServer
 
@@ -56,10 +59,12 @@ __all__ = [
     "graph_signature",
     "KIND_FUSED",
     "KIND_UNFUSED",
+    "ExtractionPricing",
     "ModelPlan",
     "PlanSegment",
     "assemble_plan",
     "compile_graph",
+    "price_extraction",
     "GraphFactory",
     "ModelServeResponse",
     "ModelServer",

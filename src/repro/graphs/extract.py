@@ -15,7 +15,8 @@ Figure 1 —
 operators that keep executing as separate kernels.
 
 Matching is **deterministic and non-overlapping**: activations are visited in
-topological order (ties broken by insertion order, which networkx preserves),
+topological order (ties broken by insertion order, see
+:meth:`~repro.ir.graph.OperatorGraph.topological_order`),
 each activation anchors at most one candidate, and a candidate touching an
 operator already claimed by an earlier match is skipped.  A chain
 ``G0 -> act -> G1 -> act -> G2`` therefore always yields the *first* region

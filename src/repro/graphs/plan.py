@@ -210,11 +210,58 @@ class ChainResolver(Protocol):
         ...
 
 
+@dataclass(frozen=True)
+class ExtractionPricing:
+    """The simulated charges of an extraction that no chain resolution moves.
+
+    Each chain's unfused baseline and each residual operator's time depend
+    only on the extraction and the simulator, so :func:`price_extraction`
+    computes them once and every :func:`assemble_plan` over the same
+    extraction reuses the floats.
+
+    Example
+    -------
+    ::
+
+        pricing = price_extraction(extraction, simulator)
+        plan = assemble_plan(graph.name, extraction, resolver, pricing)
+    """
+
+    #: Unfused baseline time of each chain, in ``extraction.matches`` order.
+    chain_unfused_us: Tuple[float, ...]
+    #: (operator name, time in us, topological anchor) of each residual
+    #: operator, in ``extraction.residual`` order.
+    residual: Tuple[Tuple[str, float, int], ...]
+
+
+def price_extraction(
+    extraction: ExtractionResult, simulator: PerformanceSimulator
+) -> ExtractionPricing:
+    """Charge an extraction's unfused baselines and residual operators."""
+    index_of = {
+        name: position for position, name in enumerate(extraction.topological_names)
+    }
+    return ExtractionPricing(
+        chain_unfused_us=tuple(
+            simulator.simulate_kernels(unfused_launches(match.chain)).time_us
+            for match in extraction.matches
+        ),
+        residual=tuple(
+            (
+                op.name,
+                simulator.simulate_kernels([_launch_for(op)]).time_us,
+                index_of[op.name],
+            )
+            for op in extraction.residual
+        ),
+    )
+
+
 def assemble_plan(
     graph_name: str,
     extraction: ExtractionResult,
     resolver: ChainResolver,
-    simulator: PerformanceSimulator,
+    pricing: ExtractionPricing,
 ) -> ModelPlan:
     """Build a :class:`ModelPlan` from an extraction and a chain resolver.
 
@@ -222,12 +269,11 @@ def assemble_plan(
     :class:`~repro.graphs.server.ModelServer` (chains resolved through the
     serving table -> cache -> compile path); both produce identically
     structured plans, differing only in each fused segment's source.
+    ``pricing`` is :func:`price_extraction` of the same extraction.  Every
+    call builds fresh segments, so plans never share a mutable segment.
     """
     segments: List[PlanSegment] = []
-    for match in extraction.matches:
-        unfused_us = simulator.simulate_kernels(
-            unfused_launches(match.chain)
-        ).time_us
+    for match, unfused_us in zip(extraction.matches, pricing.chain_unfused_us):
         try:
             kernel, source, cache_hit, time_us = resolver(match)
         except FusionError:
@@ -258,20 +304,16 @@ def assemble_plan(
                 kernel=kernel,
             )
         )
-    index_of = {
-        name: position for position, name in enumerate(extraction.topological_names)
-    }
-    for op in extraction.residual:
-        time_us = simulator.simulate_kernels([_launch_for(op)]).time_us
+    for name, time_us, anchor in pricing.residual:
         segments.append(
             PlanSegment(
-                name=op.name,
+                name=name,
                 kind=KIND_UNFUSED,
-                operators=(op.name,),
+                operators=(name,),
                 time_us=time_us,
                 unfused_time_us=time_us,
                 source=SOURCE_SIMULATED,
-                anchor=index_of[op.name],
+                anchor=anchor,
             )
         )
     segments.sort(key=lambda segment: segment.anchor)
@@ -355,7 +397,9 @@ def compile_graph(
             source = SOURCE_CACHE if outcome.cache_hit else SOURCE_SEARCH
             return outcome.kernel, source, outcome.cache_hit, outcome.kernel.time_us
 
-        return assemble_plan(graph.name, extraction, resolve, simulator)
+        return assemble_plan(
+            graph.name, extraction, resolve, price_extraction(extraction, simulator)
+        )
     finally:
         if owns_compiler:
             compiler.close()

@@ -4,9 +4,11 @@
 :class:`~repro.runtime.server.KernelServer`: models register an operator
 graph (or a graph *factory* parameterised by the batched token count M), and
 every serve request resolves the model's extracted chains through the
-existing table -> cache -> compile path, charges the residual operators on
-the simulator, and answers with the assembled
+existing table -> cache -> compile path and answers with the assembled
 :class:`~repro.graphs.plan.ModelPlan` plus per-segment resolution sources.
+The graph, its extraction and the residual pricing are built once per
+(model, M) and memoized, so a warm serve whose chains all hit the kernel
+table does only per-request work on the calling thread.
 
 Model-level metrics land in a dedicated
 :class:`~repro.runtime.stats.ServingStats`: each serve is recorded under the
@@ -18,7 +20,6 @@ per-chain stats.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,13 @@ from repro.errors import FusionError
 
 from repro.api import CompiledKernel, CompileRequest
 from repro.graphs.extract import ChainMatch, ExtractionResult, extract_chains
-from repro.graphs.plan import SOURCE_SIMULATED, ModelPlan, assemble_plan
+from repro.graphs.plan import (
+    SOURCE_SIMULATED,
+    ExtractionPricing,
+    ModelPlan,
+    assemble_plan,
+    price_extraction,
+)
 from repro.ir.graph import OperatorGraph
 from repro.ir.workloads import ModelConfig, get_model
 from repro.obs.trace import tracer
@@ -62,6 +69,25 @@ _SOURCE_COST = {
 
 #: Distinct (model, m) extraction results kept in the serve-path memo.
 _EXTRACTION_MEMO_CAPACITY = 64
+
+#: One memo entry: the built graph, its extraction and the extraction's
+#: residual pricing.
+_Materialized = Tuple[OperatorGraph, ExtractionResult, ExtractionPricing]
+
+#: One chain's (kernel, source, cache_hit, charged time, search counters,
+#: phase times), or its FusionError (kept as a value so sibling chains still
+#: resolve).
+_Settled = Union[
+    Tuple[
+        CompiledKernel,
+        str,
+        bool,
+        float,
+        Optional[Dict[str, int]],
+        Optional[Dict[str, float]],
+    ],
+    FusionError,
+]
 
 
 @dataclass
@@ -147,12 +173,12 @@ class ModelServer:
         self.stats = stats or ServingStats()
         self._factories: Dict[str, Optional[GraphFactory]] = {}
         self._static_graphs: Dict[str, OperatorGraph] = {}
-        # LRU-bounded (model, m) -> (graph, extraction) memo: dynamic-M
-        # traffic must not grow server state without bound (the backing
-        # kernel tables are bounded by binning for the same reason).  The
-        # registry and memo share a lock because the backing request path is
-        # built for concurrent serving threads.
-        self._extractions: "OrderedDict[Tuple[str, int], Tuple[OperatorGraph, ExtractionResult]]" = OrderedDict()
+        # LRU-bounded (model, m) -> (graph, extraction, pricing) memo:
+        # dynamic-M traffic must not grow server state without bound (the
+        # backing kernel tables are bounded by binning for the same reason).
+        # The registry and memo share a lock because the backing request
+        # path is built for concurrent serving threads.
+        self._extractions: "OrderedDict[Tuple[str, int], _Materialized]" = OrderedDict()
         self._lock = make_lock("model-server", reentrant=True)
 
     # ------------------------------------------------------------------ #
@@ -204,17 +230,18 @@ class ModelServer:
         """Serve one model at batched token count ``m``.
 
         Every extracted chain resolves through the backing server's
-        table -> cache -> compile path, concurrently when the model has
-        several chains; residual operators are charged on the simulator.
-        Chains are quantised to the server's M bins — a runtime M above the
-        largest bin reuses the largest compiled kernel across
-        ``ceil(M / bin)`` waves, which is what the plan charges.  For models
-        registered as fixed graphs ``m`` must be omitted — register a
+        table -> cache -> compile path: chains already in the kernel table
+        resolve on the calling thread, and the misses run concurrently when
+        there are several.  Residual operators are charged from the
+        (model, M) memo.  Chains are quantised to the server's M bins — a
+        runtime M above the largest bin reuses the largest compiled kernel
+        across ``ceil(M / bin)`` waves, which is what the plan charges.  For
+        models registered as fixed graphs ``m`` must be omitted — register a
         factory to serve variable shapes.
         """
         start = time.perf_counter()
         with tracer().span("model.serve", model=name, m=m) as span:
-            graph, extraction, effective_m = self._materialize(name, m)
+            graph, extraction, pricing, effective_m = self._materialize(name, m)
             settled = self._resolve_all(extraction.matches)
             sources: Dict[str, str] = {
                 chain_name: outcome[1]
@@ -250,7 +277,7 @@ class ModelServer:
                 kernel, source, cache_hit, charged_us = outcome[:4]
                 return kernel, source, cache_hit, charged_us
 
-            plan = assemble_plan(graph.name, extraction, resolve, self.simulator)
+            plan = assemble_plan(graph.name, extraction, resolve, pricing)
             source = max(
                 (value for value in sources.values()),
                 key=lambda value: _SOURCE_COST.get(value, 0),
@@ -290,7 +317,7 @@ class ModelServer:
             replica.register("bert", "BERT")
             replica.warm_from_cache("bert", m=128)    # no search runs
         """
-        _, extraction, _ = self._materialize(name, m)
+        _, extraction, _, _ = self._materialize(name, m)
         warmed = 0
         for match in extraction.matches:
             source = self.server.warm_from_cache(
@@ -320,29 +347,23 @@ class ModelServer:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _resolve_all(
-        self, matches: List[ChainMatch]
-    ) -> Dict[
-        str,
-        Union[
-            Tuple[
-                CompiledKernel,
-                str,
-                bool,
-                float,
-                Optional[Dict[str, int]],
-                Optional[Dict[str, float]],
-            ],
-            FusionError,
-        ],
-    ]:
-        """Resolve every chain through the kernel server, fanning out when
-        the model has several (the backing request path is thread-safe and
-        deduplicates concurrent first requests per bin)."""
-        if len(matches) <= 1:
-            return {
-                match.chain.name: self._settle(match) for match in matches
-            }
+    def _resolve_all(self, matches: List[ChainMatch]) -> Dict[str, _Settled]:
+        """Resolve every chain through the kernel server.
+
+        Kernel-table hits resolve on the calling thread.  When several
+        chains miss, the misses fan out to a thread pool (the backing
+        request path is thread-safe and deduplicates concurrent first
+        requests per bin), so a warm serve starts no thread.
+        """
+        misses: List[ChainMatch] = []
+        if len(matches) > 1:
+            misses = [
+                match
+                for match in matches
+                if not self.server.is_table_hit(CompileRequest(chain=match.chain))
+            ]
+        if len(misses) <= 1:
+            return {match.chain.name: self._settle(match) for match in matches}
         ctx = tracer().capture()
 
         def settle(match: ChainMatch):
@@ -351,29 +372,22 @@ class ModelServer:
             with tracer().activate(ctx):
                 return self._settle(match)
 
-        with ThreadPoolExecutor(max_workers=min(8, len(matches))) as pool:
+        with ThreadPoolExecutor(max_workers=min(8, len(misses))) as pool:
             futures = {
-                match.chain.name: pool.submit(settle, match)
-                for match in matches
+                match.chain.name: pool.submit(settle, match) for match in misses
             }
-            return {name: future.result() for name, future in futures.items()}
+            settled = {
+                match.chain.name: self._settle(match)
+                for match in matches
+                if match.chain.name not in futures
+            }
+            settled.update(
+                (name, future.result()) for name, future in futures.items()
+            )
+        return {match.chain.name: settled[match.chain.name] for match in matches}
 
-    def _settle(
-        self, match: ChainMatch
-    ) -> Union[
-        Tuple[
-            CompiledKernel,
-            str,
-            bool,
-            float,
-            Optional[Dict[str, int]],
-            Optional[Dict[str, float]],
-        ],
-        FusionError,
-    ]:
-        """One chain's (kernel, source, cache_hit, charged time, search
-        counters, phase times), or its FusionError (kept as a value so
-        sibling chains still resolve)."""
+    def _settle(self, match: ChainMatch) -> _Settled:
+        """Resolve one chain through the kernel server."""
         try:
             response = self.server.request(CompileRequest(chain=match.chain))
         except FusionError as exc:
@@ -395,7 +409,7 @@ class ModelServer:
 
     def _materialize(
         self, name: str, m: Optional[int]
-    ) -> Tuple[OperatorGraph, ExtractionResult, int]:
+    ) -> Tuple[OperatorGraph, ExtractionResult, ExtractionPricing, int]:
         with self._lock:
             if name not in self._factories:
                 raise KeyError(f"unknown model {name!r}; register() it first")
@@ -407,51 +421,48 @@ class ModelServer:
                     f"model {name!r} was registered as a fixed graph; register "
                     "a graph factory (m -> OperatorGraph) to serve variable M"
                 )
-            graph = static_graph
-            extraction = self._extract_cached(name, 0, graph)
+            # Fixed graphs were validated at registration.
+            graph, extraction, pricing = self._memoized(
+                (name, 0), lambda: static_graph, validate=False
+            )
             effective_m = (
                 extraction.matches[0].chain.m if extraction.matches else 0
             )
-            return graph, extraction, effective_m
+            return graph, extraction, pricing, effective_m
         if m is None or m <= 0:
             raise ValueError("serve(name, m) requires a positive token count m")
-        graph, extraction = self._memoized_extraction(
-            (name, m), lambda: self._build_and_extract(factory, m)
+        graph, extraction, pricing = self._memoized(
+            (name, m), lambda: factory(m), validate=True
         )
-        return graph, extraction, m
+        return graph, extraction, pricing, m
 
-    def _build_and_extract(
-        self, factory: GraphFactory, m: int
-    ) -> Tuple[OperatorGraph, ExtractionResult]:
-        graph = factory(m)
-        return graph, extract_chains(graph, rewrite=self._rewrite_enabled())
-
-    def _extract_cached(
-        self, name: str, m: int, graph: OperatorGraph
-    ) -> ExtractionResult:
-        rewrite = self._rewrite_enabled()
-        return self._memoized_extraction(
-            (name, m),
-            lambda: (graph, extract_chains(graph, validate=False, rewrite=rewrite)),
-        )[1]
-
-    def _rewrite_enabled(self) -> bool:
-        # Plan-neutral knob (see PLAN_NEUTRAL_CONFIG_FIELDS): rewriting
-        # changes which chains are extracted, never a chain's compiled plan.
-        return self.server.compiler.config.rewrite
-
-    def _memoized_extraction(
+    def _memoized(
         self,
         key: Tuple[str, int],
-        build: Callable[[], Tuple[OperatorGraph, ExtractionResult]],
-    ) -> Tuple[OperatorGraph, ExtractionResult]:
-        # Extraction is pattern matching over a small DAG (microseconds
-        # against a cold serve's search), so building under the lock is
-        # cheaper than racing duplicate builds.
+        build_graph: Callable[[], OperatorGraph],
+        validate: bool,
+    ) -> _Materialized:
+        # Extraction and pricing are pattern matching and a few simulator
+        # calls over a small DAG (microseconds against a cold serve's
+        # search), so building under the lock is cheaper than racing
+        # duplicate builds.
         with self._lock:
             cached = self._extractions.get(key)
             if cached is None:
-                cached = build()
+                graph = build_graph()
+                # Plan-neutral knob (see PLAN_NEUTRAL_CONFIG_FIELDS):
+                # rewriting changes which chains are extracted, never a
+                # chain's compiled plan.
+                extraction = extract_chains(
+                    graph,
+                    validate=validate,
+                    rewrite=self.server.compiler.config.rewrite,
+                )
+                cached = (
+                    graph,
+                    extraction,
+                    price_extraction(extraction, self.simulator),
+                )
                 self._extractions[key] = cached
                 while len(self._extractions) > _EXTRACTION_MEMO_CAPACITY:
                     self._extractions.popitem(last=False)

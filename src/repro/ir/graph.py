@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
-
 from repro.errors import FusionError
 from repro.ir.ops import ActivationKind, Operator
 from repro.ir.tensor import DType, TensorSpec
@@ -357,27 +355,52 @@ class OperatorGraph:
         """Sum of operator FLOP counts."""
         return sum(op.flops() for op in self._operators)
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export the graph as a ``networkx.DiGraph`` of operator names."""
-        graph = nx.DiGraph()
-        for op in self._operators:
-            graph.add_node(op.name, operator=op)
+    def topological_order(self) -> List[Operator]:
+        """Operators sorted topologically (:class:`FusionError` on cycles).
+
+        Kahn's algorithm, generation by generation: first every operator
+        with no producer inside the graph, in insertion order, then each
+        generation's newly ready consumers in the order their edges were
+        first seen.  Segment anchors and chain matching depend on this
+        exact order.
+        """
+        successors = self._successors()
+        indegree = dict.fromkeys(successors, 0)
+        for consumers in successors.values():
+            for consumer in consumers:
+                indegree[consumer] += 1
+        generation = [name for name, degree in indegree.items() if degree == 0]
+        order: List[str] = []
+        while generation:
+            order.extend(generation)
+            ready = []
+            for name in generation:
+                for consumer in successors[name]:
+                    indegree[consumer] -= 1
+                    if indegree[consumer] == 0:
+                        ready.append(consumer)
+            generation = ready
+        if len(order) < len(successors):
+            stuck = [name for name, degree in indegree.items() if degree > 0]
+            raise FusionError(self._cycle_message(successors, stuck))
+        by_name = {op.name: op for op in self._operators}
+        return [by_name[name] for name in order]
+
+    def _successors(self) -> Dict[str, Dict[str, None]]:
+        """Producer name -> its distinct consumers, in edge-insertion order.
+
+        An operator that reads the same tensor twice is one edge, so the
+        in-degree of Kahn's pass counts producers, not operand slots.
+        """
+        successors: Dict[str, Dict[str, None]] = {
+            op.name: {} for op in self._operators
+        }
         for op in self._operators:
             for tensor in op.inputs:
                 producer = self._producers.get(tensor.name)
                 if producer is not None:
-                    graph.add_edge(producer.name, op.name, tensor=tensor.name)
-        return graph
-
-    def topological_order(self) -> List[Operator]:
-        """Operators sorted topologically (:class:`FusionError` on cycles)."""
-        nx_graph = self.to_networkx()
-        try:
-            order = list(nx.topological_sort(nx_graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise FusionError(self._cycle_message(nx_graph)) from exc
-        by_name = {op.name: op for op in self._operators}
-        return [by_name[name] for name in order]
+                    successors[producer.name][op.name] = None
+        return successors
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -425,14 +448,28 @@ class OperatorGraph:
                         f"{produced.shape}/{produced.dtype.value} vs consumed "
                         f"{tensor.shape}/{tensor.dtype.value}"
                     )
-        nx_graph = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(nx_graph):
-            raise FusionError(self._cycle_message(nx_graph))
+        self.topological_order()
         return self
 
-    def _cycle_message(self, nx_graph: nx.DiGraph) -> str:
-        cycle = nx.find_cycle(nx_graph)
-        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
+    def _cycle_message(
+        self, successors: Dict[str, Dict[str, None]], stuck: List[str]
+    ) -> str:
+        # Every operator Kahn's pass left unordered waits on a producer that
+        # was left unordered too, so walking producers back from any of them
+        # must revisit one; the loop walked is a cycle.
+        stuck_set = set(stuck)
+        producer_of: Dict[str, str] = {}
+        for producer, consumers in successors.items():
+            if producer in stuck_set:
+                for consumer in consumers:
+                    producer_of.setdefault(consumer, producer)
+        walk = [stuck[0]]
+        position = {stuck[0]: 0}
+        while producer_of[walk[-1]] not in position:
+            position[producer_of[walk[-1]]] = len(walk)
+            walk.append(producer_of[walk[-1]])
+        cycle = walk[position[producer_of[walk[-1]]]:][::-1]
+        path = " -> ".join(cycle + cycle[:1])
         return f"graph {self.name!r} contains a cycle: {path}"
 
     def compute_intensive_operators(self) -> List[Operator]:

@@ -62,10 +62,6 @@ ENV_DIR = "REPRO_TRACE_DIR"
 #: Process tag override (defaults to ``main``; fleet workers set their own).
 ENV_TAG = "REPRO_TRACE_TAG"
 
-#: Explicit override set by :func:`enable` / :func:`disable`; ``None``
-#: defers to the environment variable.
-_mode_override: Optional[bool] = None
-
 _tls = threading.local()
 
 
@@ -73,11 +69,16 @@ def _env_enabled() -> bool:
     return os.environ.get(ENV_VAR, "").strip().lower() in ("1", "true", "on")
 
 
+#: Whether tracing is on.  Resolved from :data:`ENV_VAR` at import (which is
+#: how spawned fleet workers inherit it) and again by :func:`enable`,
+#: :func:`disable` and :func:`reset`, so a span call costs one global read
+#: rather than an environment lookup.
+_enabled: bool = _env_enabled()
+
+
 def enabled() -> bool:
     """Whether tracing is currently active."""
-    if _mode_override is not None:
-        return _mode_override
-    return _env_enabled()
+    return _enabled
 
 
 def enable(out_dir: Optional[Union[str, os.PathLike]] = None) -> None:
@@ -90,8 +91,8 @@ def enable(out_dir: Optional[Union[str, os.PathLike]] = None) -> None:
         fleet worker processes (which inherit the environment) flush their
         span files next to this process's.
     """
-    global _mode_override
-    _mode_override = True
+    global _enabled
+    _enabled = True
     os.environ[ENV_VAR] = "1"
     if out_dir is not None:
         os.environ[ENV_DIR] = os.fspath(out_dir)
@@ -99,15 +100,16 @@ def enable(out_dir: Optional[Union[str, os.PathLike]] = None) -> None:
 
 def disable() -> None:
     """Turn tracing off (and stop advertising it to spawned workers)."""
-    global _mode_override
-    _mode_override = False
+    global _enabled
+    _enabled = False
     os.environ.pop(ENV_VAR, None)
 
 
 def reset() -> None:
-    """Forget any :func:`enable`/:func:`disable` override (test helper)."""
-    global _mode_override
-    _mode_override = None
+    """Re-read :data:`ENV_VAR`, dropping any :func:`enable`/:func:`disable`
+    (test helper)."""
+    global _enabled
+    _enabled = _env_enabled()
 
 
 def _now_us() -> float:

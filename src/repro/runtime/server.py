@@ -21,6 +21,7 @@ paper's workload suites so steady-state traffic never leaves source 1.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 import threading
@@ -31,7 +32,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.analysis.locks import make_lock
 from repro.api import CompiledKernel, CompileRequest, FlashFuser, KernelTable
 from repro.config import FuserConfig, warn_deprecated
-from repro.ir.graph import GemmChainSpec
+from repro.ir.graph import ChainKind, GemmChainSpec
+from repro.ir.ops import ActivationKind
+from repro.ir.tensor import DType
 from repro.ir.workloads import get_chain_spec
 from repro.obs.trace import tracer
 from repro.runtime.batch import BatchCompiler
@@ -51,6 +54,10 @@ SOURCE_TRANSFER = ServingStats.TRANSFER
 #: Default M bins: powers of two covering decode batches through prefill
 #: chunks (requests above the largest bin reuse its kernel across waves).
 DEFAULT_M_BINS: Tuple[int, ...] = (16, 32, 64, 128, 256, 512)
+
+#: Per-request overrides that cannot change the selected plan.  A request
+#: carrying any other override bypasses the shared kernel tables.
+_PLAN_NEUTRAL_OVERRIDES = frozenset({"parallelism", "incremental", "trace"})
 
 
 @dataclass
@@ -228,11 +235,10 @@ class KernelServer:
         bin_m = self.bin_for(runtime_m)
         # The shared kernel tables are keyed by (workload/shape, bin) only,
         # so they may serve and store solely kernels compiled under the
-        # server's own config.  parallelism, incremental and trace cannot
-        # change the selected plan; any other override reshapes it, so such
-        # requests bypass the table (they still resolve through the plan
-        # cache and compile path).
-        plan_neutral = set(overrides) <= {"parallelism", "incremental", "trace"}
+        # server's own config.  Any override that reshapes the plan bypasses
+        # the table (it still resolves through the plan cache and compile
+        # path).
+        plan_neutral = _PLAN_NEUTRAL_OVERRIDES.issuperset(overrides)
         with tracer().span(
             "server.request", workload=key, m=runtime_m, bin=bin_m
         ) as span:
@@ -287,6 +293,32 @@ class KernelServer:
                 search_counters=_search_counters(kernel, source),
                 phase_times_us=_phase_times(kernel, source),
             )
+
+    def is_table_hit(
+        self,
+        request: Union[str, CompileRequest],
+        m: Optional[int] = None,
+    ) -> bool:
+        """Whether :meth:`request` would be served from the kernel table now.
+
+        Probes the same (table key, bin) entry :meth:`request` reads, under
+        the same lock, without recording anything in :attr:`stats`.  Tables
+        only grow, so a hit stays a hit.
+
+        Example
+        -------
+        ::
+
+            server.request("G4", m=100)           # compiles the 128 bin
+            server.is_table_hit("G4", m=120)      # True
+        """
+        key, _, runtime_m, overrides = self._parse_request(request, m)
+        if not _PLAN_NEUTRAL_OVERRIDES.issuperset(overrides):
+            return False
+        bin_m = self.bin_for(runtime_m)
+        with self._lock:
+            table = self._tables.get(key)
+            return table is not None and bin_m in table.kernels
 
     # ------------------------------------------------------------------ #
     # Warmup and introspection
@@ -422,11 +454,9 @@ class KernelServer:
         for the same N/K/L family share one table regardless of the M their
         chain object happened to carry.
         """
-        identity = {
-            k: v for k, v in chain.canonical_dict().items() if k != "m"
-        }
-        blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-        return "chain:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return _shape_key(
+            chain.n, chain.k, chain.l, chain.kind, chain.activation, chain.dtype
+        )
 
     def _base_chain(self, workload_id: str) -> GemmChainSpec:
         with self._lock:
@@ -472,3 +502,27 @@ class KernelServer:
         if getattr(response.kernel.search, "mode", "exact") == "transfer":
             return response.kernel, SOURCE_TRANSFER
         return response.kernel, SOURCE_COMPILED
+
+
+@functools.lru_cache(maxsize=1024)
+def _shape_key(
+    n: int,
+    k: int,
+    l: int,
+    kind: ChainKind,
+    activation: ActivationKind,
+    dtype: DType,
+) -> str:
+    """Hashed table key of one M-independent chain shape.
+
+    Memoized because every chain request needs it, and bounded because a
+    long-lived server may see an open-ended stream of shapes.
+    """
+    chain = GemmChainSpec(
+        "shape", m=1, n=n, k=k, l=l, kind=kind, activation=activation, dtype=dtype
+    )
+    identity = {
+        name: value for name, value in chain.canonical_dict().items() if name != "m"
+    }
+    blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+    return "chain:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import FlashFuser, FusionError
+from repro.baselines.base import unfused_launches
 from repro.graphs import (
     ChainMatch,
     ModelServer,
@@ -18,6 +19,8 @@ from repro.graphs.plan import (
     SOURCE_SEARCH,
     SOURCE_SIMULATED,
     SOURCE_UNFUSABLE,
+    assemble_plan,
+    price_extraction,
 )
 from repro.ir.builders import (
     build_conv_chain,
@@ -28,8 +31,9 @@ from repro.ir.builders import (
 from repro.ir.graph import ChainKind, GemmChainSpec, OperatorGraph
 from repro.ir.ops import Activation, ActivationKind, Elementwise, ElementwiseKind, Gemm
 from repro.ir.tensor import TensorSpec
-from repro.ir.workloads import get_model, get_workload, list_workloads
+from repro.ir.workloads import get_model, get_workload, get_zoo_graph, list_workloads
 from repro.runtime import PlanCache
+from repro.sim.engine import KernelLaunch
 
 TINY = dict(m=64, n=256, k=128, l=128)
 
@@ -534,6 +538,197 @@ class TestModelServer:
         model_server.register("bert", "BERT")
         response = model_server.serve("bert", m=64)
         assert response.plan.summary()["fused_chains"] == 1
+
+
+# --------------------------------------------------------------------- #
+# Warm serve path: memoized pricing, inline table hits
+# --------------------------------------------------------------------- #
+#: Models of the serving benchmark, by zoo name: two single-chain layers
+#: and two rewrite-dependent zoo graphs (``moe_layer`` has two chains).
+SERVE_PATH_MODELS = {
+    "BERT": lambda m: get_model("BERT").layer_graph(seq_len=m),
+    "Qwen3-0.6B": lambda m: get_model("Qwen3-0.6B").layer_graph(seq_len=m),
+    "moe_layer": lambda m: get_zoo_graph("moe_layer", m=m),
+    "attention_ffn": lambda m: get_zoo_graph("attention_ffn", m=m),
+}
+#: Runtime Ms across both bins; 300 and 512 exceed the largest bin, so the
+#: plan charges the 256 kernel in several waves.
+SERVE_PATH_MS = (1, 32, 64, 200, 300, 512)
+
+
+@pytest.fixture(scope="module")
+def warm_model_server(h100, tmp_path_factory):
+    """A ModelServer over the serving-benchmark models, every bin compiled."""
+    with ModelServer(
+        device=h100,
+        top_k=1,
+        max_tile=64,
+        cache=PlanCache(directory=tmp_path_factory.mktemp("serve-path")),
+        m_bins=(64, 256),
+    ) as server:
+        for name, factory in SERVE_PATH_MODELS.items():
+            server.register(name, factory)
+            for m in (64, 256):
+                server.serve(name, m=m)
+        yield server
+
+
+def _segment_view(plan):
+    return [
+        (s.name, s.kind, s.source, s.time_us, s.unfused_time_us, s.anchor)
+        for s in plan.segments
+    ]
+
+
+class TestWarmServePath:
+    @pytest.mark.parametrize("name", sorted(SERVE_PATH_MODELS))
+    def test_memoized_pricing_matches_fresh_assembly(self, warm_model_server, name):
+        simulator = warm_model_server.simulator
+        for m in SERVE_PATH_MS:
+            first = warm_model_server.serve(name, m=m)
+            again = warm_model_server.serve(name, m=m)  # memo hit
+            extraction = extract_chains(SERVE_PATH_MODELS[name](m), rewrite=True)
+            kernels = {s.name: s for s in first.plan.fused_segments}
+
+            def resolve(match):
+                segment = kernels[match.chain.name]
+                return (
+                    segment.kernel,
+                    segment.source,
+                    segment.cache_hit,
+                    segment.time_us,
+                )
+
+            fresh = assemble_plan(
+                first.plan.graph_name,
+                extraction,
+                resolve,
+                price_extraction(extraction, simulator),
+            )
+            assert _segment_view(first.plan) == _segment_view(fresh)
+            assert _segment_view(again.plan) == _segment_view(fresh)
+            assert again.plan.time_us == fresh.time_us
+            # Every charge equals a direct simulation of the same kernels.
+            for segment in fresh.segments:
+                if segment.fused:
+                    launches = unfused_launches(segment.chain)
+                    assert segment.unfused_time_us == (
+                        simulator.simulate_kernels(launches).time_us
+                    )
+                    bin_m = 64 if m <= 64 else 256
+                    waves = -(-m // bin_m)
+                    assert segment.time_us == segment.kernel.time_us * waves
+                else:
+                    (op,) = [
+                        o for o in extraction.residual if o.name == segment.name
+                    ]
+                    launch = KernelLaunch(op.name, op.flops(), op.io_bytes())
+                    assert segment.time_us == (
+                        simulator.simulate_kernels([launch]).time_us
+                    )
+            # Plans never share a mutable segment.
+            assert all(
+                a is not b for a, b in zip(first.plan.segments, again.plan.segments)
+            )
+
+    def test_warm_multi_chain_serve_starts_no_thread(
+        self, warm_model_server, monkeypatch
+    ):
+        import repro.graphs.server as server_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm serve started a thread pool")
+
+        monkeypatch.setattr(server_module, "ThreadPoolExecutor", refuse)
+        kernel_requests = warm_model_server.server.stats.requests
+        response = warm_model_server.serve("moe_layer", m=16)
+        assert len(response.sources) == 2
+        assert set(response.sources.values()) == {"table"}
+        # Every chain still goes through KernelServer.request once.
+        assert warm_model_server.server.stats.requests == kernel_requests + 2
+
+    def test_cold_multi_chain_serve_fans_out_one_search_per_bin(
+        self, h100, tmp_path, monkeypatch
+    ):
+        import repro.graphs.server as server_module
+
+        pools = []
+        real_pool = server_module.ThreadPoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            pool = real_pool(*args, **kwargs)
+            pools.append(pool)
+            return pool
+
+        monkeypatch.setattr(server_module, "ThreadPoolExecutor", recording_pool)
+        with ModelServer(
+            device=h100,
+            top_k=1,
+            max_tile=64,
+            cache=PlanCache(directory=tmp_path),
+            m_bins=(64,),
+        ) as server:
+            compiles = []
+            compile_request = server.server.compiler.compile_request
+
+            def counting(request):
+                compiles.append(request.chain.m)
+                return compile_request(request)
+
+            monkeypatch.setattr(server.server.compiler, "compile_request", counting)
+            server.register("moe", SERVE_PATH_MODELS["moe_layer"])
+            cold = server.serve("moe", m=64)
+            assert len(pools) == 1
+            # Both experts share one (shape, bin): the in-flight dedup runs
+            # one search and the sibling chain reads the table it filled.
+            assert compiles == [64]
+            assert sorted(cold.sources.values()) == ["compiled", "table"]
+            warm = server.serve("moe", m=48)
+            assert len(pools) == 1 and compiles == [64]
+            assert set(warm.sources.values()) == {"table"}
+
+    def test_concurrent_cold_serves_search_once_per_bin(self, h100, tmp_path):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ModelServer(
+            device=h100,
+            top_k=1,
+            max_tile=64,
+            cache=PlanCache(directory=tmp_path),
+            m_bins=(64, 256),
+        ) as server:
+            server.register("moe", SERVE_PATH_MODELS["moe_layer"])
+            ms = [8, 64, 100, 256, 300, 8, 64, 100, 256, 300, 16, 48]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [pool.submit(server.serve, "moe", m=m) for m in ms]
+                    responses = [future.result(timeout=120) for future in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            kernel_stats = server.server.stats
+            # Two experts x 12 serves, and one search per (shape, bin).
+            assert kernel_stats.requests == 2 * len(ms)
+            assert kernel_stats.misses == 2
+            for m, response in zip(ms, responses):
+                again = server.serve("moe", m=m)
+                assert again.plan.time_us == response.plan.time_us
+                assert [s.name for s in again.plan.segments] == [
+                    s.name for s in response.plan.segments
+                ]
+
+    def test_register_drops_pricing_with_extraction(self, warm_model_server):
+        warm_model_server.register("swap", SERVE_PATH_MODELS["BERT"])
+        bert = warm_model_server.serve("swap", m=32)
+        assert ("swap", 32) in warm_model_server._extractions
+        warm_model_server.register("swap", SERVE_PATH_MODELS["Qwen3-0.6B"])
+        assert not any(key[0] == "swap" for key in warm_model_server._extractions)
+        qwen = warm_model_server.serve("swap", m=32)
+        reference = warm_model_server.serve("Qwen3-0.6B", m=32)
+        assert _segment_view(qwen.plan) == _segment_view(reference.plan)
+        assert qwen.plan.time_us != bert.plan.time_us
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,16 @@
 """Tests for operator graphs and the canonical GEMM-chain spec."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.errors import FusionError
 from repro.ir.builders import build_conv_chain, build_gated_ffn, build_standard_ffn
 from repro.ir.graph import ChainKind, GemmChainSpec, OperatorGraph
-from repro.ir.ops import ActivationKind, Gemm
+from repro.ir.ops import Activation, ActivationKind, Elementwise, ElementwiseKind, Gemm
 from repro.ir.tensor import TensorSpec
 
 
@@ -83,6 +89,46 @@ class TestOperatorGraph:
         names = [op.name for op in graph.topological_order()]
         assert names.index("gemm0") < names.index("gemm1")
 
+    @staticmethod
+    def _relu(name, source):
+        return Activation(name, ActivationKind.RELU, TensorSpec(source, (4, 4)))
+
+    @staticmethod
+    def _add(name, lhs, rhs):
+        return Elementwise(
+            name, ElementwiseKind.ADD, TensorSpec(lhs, (4, 4)), TensorSpec(rhs, (4, 4))
+        )
+
+    def test_topological_order_is_generation_by_generation(self):
+        # Added out of order: "late" reads "early", and "join" reads
+        # "early" twice, which is one producer edge, not two.
+        graph = OperatorGraph("gens")
+        graph.add(self._relu("late", "early.out"))
+        graph.add(self._add("join", "early.out", "early.out"))
+        graph.add(self._relu("early", "x"))
+        graph.add(self._relu("other", "x"))
+        names = [op.name for op in graph.topological_order()]
+        assert names == ["early", "other", "late", "join"]
+
+    def test_cycle_behind_an_acyclic_prefix_names_its_operators(self):
+        graph = OperatorGraph("loop")
+        graph.add(self._relu("head", "x"))
+        graph.add(self._add("a", "head.out", "c.out"))
+        graph.add(self._relu("b", "a.out"))
+        graph.add(self._relu("c", "b.out"))
+        graph.add(self._relu("tail", "c.out"))
+        for check in (graph.validate, graph.topological_order):
+            with pytest.raises(FusionError, match="cycle") as info:
+                check()
+            path = str(info.value).split(": ", 1)[1]
+            assert set(path.split(" -> ")) == {"a", "b", "c"}
+
+    def test_self_loop_is_a_cycle(self):
+        graph = OperatorGraph("self")
+        graph.add(self._relu("spin", "spin.out"))
+        with pytest.raises(FusionError, match="spin -> spin"):
+            graph.topological_order()
+
     def test_total_flops_sums_operators(self):
         graph = self._two_gemm_graph()
         assert graph.total_flops() == sum(op.flops() for op in graph.operators)
@@ -124,3 +170,19 @@ class TestBuilders:
             out_channels1=64, out_channels2=256, kernel1=3, kernel2=1,
         )
         assert spec.k == 64 * 9
+
+
+def test_import_does_not_load_networkx():
+    """networkx is a test-only dependency: importing the library skips it."""
+    import repro
+
+    probe = "import sys, repro; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

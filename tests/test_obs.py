@@ -234,6 +234,18 @@ class TestTracer:
         assert tracer().capture() is None
         assert tracer().wire_context() is None
 
+    def test_environment_is_read_at_reset_not_per_span(self, monkeypatch):
+        monkeypatch.setenv(obs_trace.ENV_VAR, "on")
+        assert not obs_trace.enabled()
+        obs_trace.reset()
+        assert obs_trace.enabled()
+        monkeypatch.delenv(obs_trace.ENV_VAR)
+        assert obs_trace.enabled()
+        obs_trace.disable()
+        assert not obs_trace.enabled()
+        obs_trace.reset()
+        assert not obs_trace.enabled()
+
     def test_nesting_builds_one_trace(self):
         obs_trace.enable()
         with tracer().root("request", m=64) as root:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro import FlashFuser, FusionError, KernelTable
+from repro.api import CompileRequest
 from repro.codegen.plan import ExecutionPlan
 from repro.ir.builders import build_standard_ffn
 from repro.runtime import (
@@ -302,6 +304,26 @@ class TestBatchCompiler:
 # Kernel server
 # --------------------------------------------------------------------- #
 class TestKernelServer:
+    def test_chain_key_ignores_m_and_keeps_its_hash(self):
+        chain = _chain("key-a", m=128)
+        identity = {k: v for k, v in chain.canonical_dict().items() if k != "m"}
+        blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+        expected = "chain:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        assert KernelServer._chain_key(chain) == expected
+        assert KernelServer._chain_key(chain.scaled(m=7, name="key-b")) == expected
+        assert KernelServer._chain_key(_chain("key-c", l=128)) != expected
+
+    def test_table_hit_probe_records_nothing(self, h100):
+        server = KernelServer(compiler=_compiler(h100, PlanCache()), m_bins=(64, 128))
+        assert not server.is_table_hit("G1", 100)
+        server.request("G1", 100)
+        assert server.is_table_hit("G1", 70)
+        assert not server.is_table_hit("G1", 32)
+        # Plan-shaping overrides bypass the table, so they never probe a hit.
+        request = CompileRequest(workload="G1", m=100, overrides={"top_k": 1})
+        assert not server.is_table_hit(request)
+        assert server.stats.requests == 1
+
     def test_repeat_request_never_searches_again(self, h100, search_calls):
         server = KernelServer(
             compiler=_compiler(h100, PlanCache()), m_bins=(64, 128)

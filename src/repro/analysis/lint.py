@@ -53,8 +53,7 @@ PLAN_NEUTRAL_CONFIG_FIELDS = frozenset(
         "device",
         # Cache wiring: where entries live, never what they contain.
         "cache",
-        # Search *effort* knobs: same winner, different wall-clock.
-        "parallelism",
+        # Search *effort* knob: same winner, different wall-clock.
         "incremental",
         # Graph canonicalization before extraction: changes which chains are
         # extracted from a model graph, never which plan a given chain

@@ -7,13 +7,13 @@ tables) into a :class:`CompiledKernel` — the selected execution plan, the
 generated kernel source, and the simulated performance report.
 
 The facade is configured by one :class:`~repro.config.FuserConfig` value
-(``FlashFuser(config, **overrides)``); the pre-config kwargs keep working
-because every config field doubles as a constructor override.  Structured
-entry points wrap the same pipeline: a :class:`CompileRequest` names a chain
-*or* a workload id (plus optional per-request config overrides) and
-:meth:`FlashFuser.compile_request` / :meth:`FlashFuser.submit` answer with a
-:class:`CompileResponse` carrying the kernel and its provenance (effective
-config, cache hit/miss, cache key, wall clock).
+(``FlashFuser(config, **overrides)``); every config field doubles as a
+constructor override.  Structured entry points wrap the same pipeline: a
+:class:`CompileRequest` names a chain *or* a workload id (plus optional
+per-request config overrides) and :meth:`FlashFuser.compile_request` /
+:meth:`FlashFuser.submit` answer with a :class:`CompileResponse` carrying the
+kernel and its provenance (effective config, cache hit/miss, cache key, wall
+clock).
 
 A :class:`KernelTable` implements the runtime strategy of Section IV-C3:
 kernels are compiled offline for a set of M bins (N, K and L are fixed by
@@ -35,7 +35,7 @@ from repro.analysis.locks import make_lock
 from repro.codegen.cuda_emitter import emit_cuda
 from repro.codegen.kernel_ir import KernelIR, lower_plan
 from repro.codegen.plan import ExecutionPlan
-from repro.config import FuserConfig, warn_deprecated
+from repro.config import FuserConfig
 from repro.errors import FusionError
 from repro.hardware.spec import HardwareSpec
 from repro.ir.graph import GemmChainSpec
@@ -126,7 +126,7 @@ class CompileRequest:
     the chain's M extent (the runtime token/batch dimension); ``overrides``
     are per-request :class:`~repro.config.FuserConfig` field overrides,
     applied on top of the serving compiler's config — e.g.
-    ``{"parallelism": 8}`` to fan one cold search across processes without
+    ``{"top_k": 3}`` to trade plan quality for a faster cold search without
     touching the shared configuration.
 
     Example
@@ -206,7 +206,6 @@ class CompileResponse:
             "cache_key": self.cache_key,
             "elapsed_s": self.elapsed_s,
             "search": dict(self.config.cache_key_fields()),
-            "parallelism": self.config.parallelism,
             #: How the plan was found: "exact" enumeration or a warm-started
             #: "transfer" search seeded from the nearest compiled shape.
             "mode": getattr(self.kernel.search, "mode", "exact"),
@@ -229,7 +228,7 @@ class FlashFuser:
         ``FlashFuser(device="a100", top_k=5)`` construct the same compiler.
 
     Call :meth:`close` (or use the compiler as a context manager) to release
-    worker pools held by parallel search engines and :meth:`submit`.
+    the thread pool held by :meth:`submit`.
 
     Example
     -------
@@ -246,34 +245,27 @@ class FlashFuser:
 
     def __init__(
         self,
-        config: Optional[Union[FuserConfig, HardwareSpec, str]] = None,
+        config: Optional[FuserConfig] = None,
         **overrides: object,
     ) -> None:
         if config is not None and not isinstance(config, FuserConfig):
-            # Pre-config API: the first positional argument was the device.
-            warn_deprecated(
-                "flashfuser-positional-device",
-                "passing a device as FlashFuser's positional argument is "
-                "deprecated; pass a FuserConfig, or use the device= override",
+            raise TypeError(
+                "FlashFuser's positional argument must be a FuserConfig, got "
+                f"{type(config).__name__}; pass the device as "
+                "FuserConfig(device=...) or the device= override"
             )
-            if "device" in overrides:
-                raise TypeError(
-                    "device passed both positionally and as an override"
-                )
-            overrides["device"] = config
-            config = None
         self.config = (config or FuserConfig()).replace(**overrides)
         self.device = self.config.resolve_device()
         self._cache = self.config.resolve_cache()
         self.simulator = PerformanceSimulator(self.device)
         self.cost_model = CostModel(self.device)
         self.profiler = MemoryProfiler()
-        #: Engines memoized by their effective (device, search knobs,
-        #: parallelism) so repeated compiles reuse one worker pool instead of
-        #: re-forking per chain.  compile_request() is called concurrently
-        #: from submit()'s pool, so lazy construction is lock-guarded; the
-        #: lock is reentrant because engine construction resolves per-device
-        #: toolchains under the same lock.
+        #: Engines memoized by their effective (device, search knobs) so
+        #: repeated compiles reuse one engine and its incremental memo.
+        #: compile_request() is called concurrently from submit()'s pool, so
+        #: lazy construction is lock-guarded; the lock is reentrant because
+        #: engine construction resolves per-device toolchains under the same
+        #: lock.
         self._engines: Dict[Tuple[object, ...], object] = {}
         self._engines_lock = make_lock("flashfuser-engines", reentrant=True)
         self._toolchains: Dict[str, Tuple[PerformanceSimulator, CostModel]] = {
@@ -301,10 +293,6 @@ class FlashFuser:
         return self.config.max_tile
 
     @property
-    def parallelism(self) -> Optional[int]:
-        return self.config.parallelism
-
-    @property
     def cache(self):
         """The attached plan cache (``None`` when compiling uncached)."""
         return self._cache
@@ -313,15 +301,6 @@ class FlashFuser:
     def cache(self, value) -> None:
         self.config = self.config.replace(cache=value)
         self._cache = self.config.resolve_cache()
-
-    def search_config(self) -> Dict[str, object]:
-        """Deprecated alias for :meth:`FuserConfig.cache_key_fields`."""
-        warn_deprecated(
-            "flashfuser-search-config",
-            "FlashFuser.search_config() is deprecated; use "
-            "FlashFuser.config.cache_key_fields()",
-        )
-        return dict(self.config.cache_key_fields())
 
     def cache_key(self, chain: GemmChainSpec) -> Optional[str]:
         """The plan-cache key for ``chain``, or ``None`` without a cache."""
@@ -385,8 +364,7 @@ class FlashFuser:
         Requests run on this compiler's lazily created thread pool (or on
         ``executor`` when provided, e.g. by
         :class:`~repro.runtime.batch.BatchCompiler`); concurrent submissions
-        share the memoized search-engine pool, so a parallel engine is
-        forked once, not per future.  The future resolves to a
+        share the memoized search engines.  The future resolves to a
         :class:`CompileResponse`; a chain admitting no fused plan raises
         :class:`FusionError` from ``result()``.
         """
@@ -406,45 +384,19 @@ class FlashFuser:
     # ------------------------------------------------------------------ #
     # Classic entry points
     # ------------------------------------------------------------------ #
-    def compile(
-        self, chain: GemmChainSpec, parallelism: Optional[int] = None
-    ) -> CompiledKernel:
+    def compile(self, chain: GemmChainSpec) -> CompiledKernel:
         """Return the best fused kernel for ``chain``, consulting the cache.
 
         With no cache attached this always runs the full fusion search;
         with one attached, a canonically identical chain compiled before —
         by this process or a previous one — is rehydrated from the stored
-        plan instead.  The ``parallelism`` kwarg is deprecated: set
-        :attr:`FuserConfig.parallelism`, or pass a :class:`CompileRequest`
-        with ``overrides={"parallelism": ...}``.
+        plan instead.
         """
-        overrides: Dict[str, object] = {}
-        if parallelism is not None:
-            warn_deprecated(
-                "compile-parallelism-kwarg",
-                "compile(parallelism=...) is deprecated; set "
-                "FuserConfig.parallelism or pass a CompileRequest with "
-                "overrides={'parallelism': ...}",
-            )
-            overrides["parallelism"] = parallelism
-        return self.compile_request(
-            CompileRequest(chain=chain, overrides=overrides)
-        ).kernel
+        return self.compile_request(CompileRequest(chain=chain)).kernel
 
-    def compile_uncached(
-        self, chain: GemmChainSpec, parallelism: Optional[int] = None
-    ) -> CompiledKernel:
+    def compile_uncached(self, chain: GemmChainSpec) -> CompiledKernel:
         """Search, select and lower the best fused kernel for ``chain``."""
-        config = self.config
-        if parallelism is not None:
-            warn_deprecated(
-                "compile-parallelism-kwarg",
-                "compile_uncached(parallelism=...) is deprecated; set "
-                "FuserConfig.parallelism or pass a CompileRequest with "
-                "overrides={'parallelism': ...}",
-            )
-            config = config.replace(parallelism=parallelism)
-        return self._compile_uncached(chain, config, self._device_for(config))
+        return self._compile_uncached(chain, self.config, self.device)
 
     def compile_workload(
         self, workload_id: str, m: Optional[int] = None
@@ -470,17 +422,11 @@ class FlashFuser:
         return KernelTable(chain=chain, kernels=kernels)
 
     def close(self) -> None:
-        """Release worker pools (search engines and the submit pool)."""
+        """Release the submit pool."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        with self._engines_lock:
-            engines, self._engines = dict(self._engines), {}
-        for engine in engines.values():
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
 
     def __enter__(self) -> "FlashFuser":
         return self
@@ -595,8 +541,7 @@ class FlashFuser:
 
         Fingerprint-based (not ``id()``-based) so per-request overrides that
         pass fresh-but-identical spec objects reuse the existing toolchain
-        and engines instead of accumulating one entry (and, under parallel
-        search, one process pool) per request.
+        and engines instead of accumulating one entry per request.
         """
         if device is self.device:
             return _DEFAULT_DEVICE_KEY
@@ -616,27 +561,22 @@ class FlashFuser:
 
     def _engine_for(self, config: FuserConfig, device: HardwareSpec):
         """The (memoized) search engine for an effective configuration."""
-        parallelism = max(1, config.parallelism or 1)
         key = (
             self._device_key(device),
             config.top_k,
             config.include_dsm,
             config.max_tile,
-            parallelism,
             config.incremental,
             config.transfer_bound,
         )
         with self._engines_lock:
             engine = self._engines.get(key)
             if engine is None:
-                engine = self._make_engine(config, device, parallelism)
+                engine = self._make_engine(config, device)
                 self._engines[key] = engine
             return engine
 
-    def _make_engine(
-        self, config: FuserConfig, device: HardwareSpec, parallelism: int
-    ):
-        from repro.search.parallel import ParallelSearchEngine
+    def _make_engine(self, config: FuserConfig, device: HardwareSpec) -> SearchEngine:
         from repro.search.space import SearchSpace
 
         simulator, cost_model = self._toolchain(device)
@@ -645,18 +585,6 @@ class FlashFuser:
             max_tile=config.max_tile,
             include_clusters=config.include_dsm,
         )
-        if parallelism > 1:
-            return ParallelSearchEngine(
-                device,
-                top_k=config.top_k,
-                include_dsm=config.include_dsm,
-                profiler=simulator.profile,
-                space=space,
-                cost_model=cost_model,
-                parallelism=parallelism,
-                incremental=config.incremental,
-                transfer_bound=config.transfer_bound,
-            )
         return SearchEngine(
             device,
             top_k=config.top_k,
@@ -735,10 +663,10 @@ def compile_chain(
 
     Builds a throwaway compiler from ``config`` plus ``overrides``, compiles
     ``chain``, and returns the :class:`CompiledKernel`.  The compiler is
-    used as a context manager so any worker pools it spins up (a parallel
-    search engine, the submit pool) are released even when compilation
-    raises.  For more than one compile, construct a :class:`FlashFuser`
-    once and reuse it — engines and caches are memoized per instance.
+    used as a context manager so the submit pool, if one was spun up, is
+    released even when compilation raises.  For more than one compile,
+    construct a :class:`FlashFuser` once and reuse it — engines and caches
+    are memoized per instance.
 
     Example
     -------

@@ -43,8 +43,8 @@ class FleetConfig:
         M bins of each worker's kernel server.
     device, top_k, include_dsm, max_tile, transfer:
         Compiler knobs forwarded to each worker's
-        :class:`~repro.config.FuserConfig`.  Workers always run the serial
-        search engine — the fleet itself is the parallelism.  With
+        :class:`~repro.config.FuserConfig`.  The fleet is the parallelism:
+        each worker runs one search at a time.  With
         ``transfer`` enabled, a worker's cold compile of a new M warm-starts
         from the nearest shape in the shared plan cache (source
         ``compiled:transfer``).

@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import FusionError
 from repro.ir.ops import ActivationKind, Operator
@@ -267,6 +267,10 @@ class OperatorGraph:
         self.name = name
         self._operators: List[Operator] = []
         self._producers: Dict[str, Operator] = {}
+        # Indexes filled by add(): operator names, and each tensor's
+        # distinct consumers in insertion order.
+        self._names: Set[str] = set()
+        self._consumers: Dict[str, List[Operator]] = {}
         self._declared_inputs: Optional[Dict[str, TensorSpec]] = (
             {tensor.name: tensor for tensor in inputs} if inputs is not None else None
         )
@@ -278,13 +282,21 @@ class OperatorGraph:
     # ------------------------------------------------------------------ #
     def add(self, op: Operator) -> Operator:
         """Add an operator to the graph and return it."""
-        if any(existing.name == op.name for existing in self._operators):
+        if op.name in self._names:
             raise ValueError(f"duplicate operator name {op.name!r}")
         out_name = op.output.name
         if out_name in self._producers:
             raise ValueError(f"tensor {out_name!r} already has a producer")
         self._operators.append(op)
         self._producers[out_name] = op
+        self._names.add(op.name)
+        for tensor in op.inputs:
+            consumers = self._consumers.get(tensor.name)
+            if consumers is None:
+                self._consumers[tensor.name] = [op]
+            elif consumers[-1] is not op:
+                # An operator reading one tensor twice consumes it once.
+                consumers.append(op)
         return op
 
     # ------------------------------------------------------------------ #
@@ -315,12 +327,8 @@ class OperatorGraph:
         return self._producers.get(tensor_name)
 
     def consumers_of(self, tensor_name: str) -> List[Operator]:
-        """Operators consuming ``tensor_name``."""
-        return [
-            op
-            for op in self._operators
-            if any(t.name == tensor_name for t in op.inputs)
-        ]
+        """Operators consuming ``tensor_name``, in insertion order."""
+        return list(self._consumers.get(tensor_name, ()))
 
     def input_tensors(self) -> List[TensorSpec]:
         """Tensors read by the graph but produced by no operator."""
@@ -333,19 +341,17 @@ class OperatorGraph:
 
     def output_tensors(self) -> List[TensorSpec]:
         """Tensors produced by an operator but consumed by none."""
-        outputs = []
-        for op in self._operators:
-            if not self.consumers_of(op.output.name):
-                outputs.append(op.output)
-        return outputs
+        return [
+            op.output
+            for op in self._operators
+            if op.output.name not in self._consumers
+        ]
 
     def intermediate_tensors(self) -> List[TensorSpec]:
         """Tensors produced by one operator and consumed by another."""
-        intermediates = []
-        for op in self._operators:
-            if self.consumers_of(op.output.name):
-                intermediates.append(op.output)
-        return intermediates
+        return [
+            op.output for op in self._operators if op.output.name in self._consumers
+        ]
 
     def io_tensors(self) -> List[TensorSpec]:
         """Graph inputs plus graph outputs."""

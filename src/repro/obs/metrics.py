@@ -236,8 +236,8 @@ class Histogram:
 
     Buckets are the fixed log-spaced grid of :func:`bucket_index`, so
     :meth:`merge` (plain count addition) is exact across processes; count,
-    total, min and max are tracked alongside, mirroring
-    ``LatencySummary``.
+    total, min and max are tracked alongside.  It is also the latency
+    aggregate of :class:`~repro.runtime.stats.ServingStats`.
 
     Example
     -------

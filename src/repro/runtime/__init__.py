@@ -26,7 +26,7 @@ from repro.runtime.server import (
     KernelServer,
     ServeResponse,
 )
-from repro.runtime.stats import LatencySummary, ServingStats
+from repro.runtime.stats import ServingStats
 from repro.runtime.warmup import (
     WarmupReport,
     default_warmup_workloads,
@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_M_BINS",
     "KernelServer",
     "ServeResponse",
-    "LatencySummary",
     "ServingStats",
     "WarmupReport",
     "default_warmup_workloads",

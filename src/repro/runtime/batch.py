@@ -14,13 +14,10 @@ once.  Failures (:class:`~repro.api.FusionError`) are captured per job
 instead of aborting the batch.
 
 A note on parallelism: the fusion search in this reproduction is pure
-Python, so under the GIL the thread pool alone overlaps cache/disk I/O but
-does not multiply search throughput across cores.
-:attr:`~repro.config.FuserConfig.parallelism` closes that gap: cold
-compiles are routed through the sharded
-:class:`~repro.search.parallel.ParallelSearchEngine`, whose worker
-*processes* sidestep the GIL.  Warm hits keep resolving through the thread pool — they never
-pay a fork.
+Python, so under the GIL the thread pool overlaps cache/disk I/O but does
+not multiply search throughput across cores.  Cross-core serving throughput
+comes from :class:`~repro.fleet.ServingFleet`, whose worker processes each
+run the serial search engine against a shared plan cache.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from repro.api import (
     FusionError,
     KernelTable,
 )
-from repro.config import FuserConfig, warn_deprecated
+from repro.config import FuserConfig
 from repro.ir.graph import GemmChainSpec
 from repro.ir.workloads import get_chain_spec
 
@@ -108,16 +105,11 @@ class BatchCompiler:
         shut down by this class and ``max_workers`` is ignored.
     overrides:
         Per-request :class:`~repro.config.FuserConfig` overrides applied to
-        every job in every batch (e.g. ``{"parallelism": 8}`` to route cold
-        compiles through the sharded process-parallel engine).  Cached and
-        deduplicated jobs are unaffected, and compiled plans are identical
-        either way — only cold wall-clock changes.
+        every job in every batch (e.g. ``{"incremental": False}``).  Cached
+        and deduplicated jobs are unaffected.
     config:
         Configuration for the internally constructed compiler when
         ``compiler`` is omitted.
-    parallelism:
-        Deprecated: use ``overrides={"parallelism": N}`` or set
-        :attr:`FuserConfig.parallelism` on the compiler.
 
     Example
     -------
@@ -139,7 +131,6 @@ class BatchCompiler:
         compiler: Optional[FlashFuser] = None,
         max_workers: Optional[int] = None,
         executor: Optional[Executor] = None,
-        parallelism: Optional[int] = None,
         config: Optional[FuserConfig] = None,
         overrides: Optional[Mapping[str, object]] = None,
     ) -> None:
@@ -152,23 +143,7 @@ class BatchCompiler:
         self._owns_compiler = owns_compiler
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.overrides: Dict[str, object] = dict(overrides or {})
-        if parallelism is not None:
-            warn_deprecated(
-                "batch-parallelism-kwarg",
-                "BatchCompiler(parallelism=...) is deprecated; set "
-                "FuserConfig.parallelism on the compiler, or pass "
-                "overrides={'parallelism': ...}",
-            )
-            self.overrides.setdefault("parallelism", parallelism)
         self._executor = executor
-
-    @property
-    def parallelism(self) -> Optional[int]:
-        """The effective cold-compile fan-out for this batch's jobs."""
-        override = self.overrides.get("parallelism")
-        if override is not None:
-            return int(override)
-        return self.compiler.config.parallelism
 
     def close(self) -> None:
         """Release an internally constructed compiler's worker pools.

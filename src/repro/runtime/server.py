@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.analysis.locks import make_lock
 from repro.api import CompiledKernel, CompileRequest, FlashFuser, KernelTable
-from repro.config import FuserConfig, warn_deprecated
+from repro.config import FuserConfig
 from repro.ir.graph import ChainKind, GemmChainSpec
 from repro.ir.ops import ActivationKind
 from repro.ir.tensor import DType
@@ -57,7 +57,7 @@ DEFAULT_M_BINS: Tuple[int, ...] = (16, 32, 64, 128, 256, 512)
 
 #: Per-request overrides that cannot change the selected plan.  A request
 #: carrying any other override bypasses the shared kernel tables.
-_PLAN_NEUTRAL_OVERRIDES = frozenset({"parallelism", "incremental", "trace"})
+_PLAN_NEUTRAL_OVERRIDES = frozenset({"incremental", "trace"})
 
 
 @dataclass
@@ -128,9 +128,7 @@ class KernelServer:
         A :class:`~repro.config.FuserConfig` for the internally constructed
         compiler when ``compiler`` is omitted; any additional keyword
         arguments are applied as config overrides
-        (``KernelServer(config=FuserConfig(parallelism=4), top_k=5)``).
-    parallelism:
-        Deprecated: set :attr:`FuserConfig.parallelism` instead.
+        (``KernelServer(config=FuserConfig(device="a100"), top_k=5)``).
 
     Example
     -------
@@ -152,19 +150,9 @@ class KernelServer:
         m_bins: Optional[Sequence[int]] = None,
         stats: Optional[ServingStats] = None,
         max_workers: Optional[int] = None,
-        parallelism: Optional[int] = None,
         config: Optional[FuserConfig] = None,
         **overrides: object,
     ) -> None:
-        self._overrides: Dict[str, object] = {}
-        if parallelism is not None:
-            warn_deprecated(
-                "server-parallelism-kwarg",
-                "KernelServer(parallelism=...) is deprecated; set "
-                "FuserConfig.parallelism (e.g. "
-                "KernelServer(config=FuserConfig(parallelism=N)))",
-            )
-            self._overrides["parallelism"] = parallelism
         if compiler is None:
             base = (config or FuserConfig()).replace(**overrides)
             if cache is not None and base.cache is None:
@@ -186,23 +174,13 @@ class KernelServer:
             raise ValueError("m_bins must be positive")
         self.m_bins = bins
         self.stats = stats or ServingStats()
-        self.batch = BatchCompiler(
-            compiler, max_workers=max_workers, overrides=self._overrides
-        )
+        self.batch = BatchCompiler(compiler, max_workers=max_workers)
         self._tables: Dict[str, KernelTable] = {}
         self._chains: Dict[str, GemmChainSpec] = {}
         self._lock = make_lock("kernel-server", reentrant=True)
         # One lock per (workload, bin) so concurrent first requests for the
         # same kernel run a single search instead of racing duplicates.
         self._inflight: Dict[Tuple[str, int], threading.Lock] = {}
-
-    @property
-    def parallelism(self) -> Optional[int]:
-        """The effective cold-compile fan-out for this server's misses."""
-        override = self._overrides.get("parallelism")
-        if override is not None:
-            return int(override)
-        return self.compiler.config.parallelism
 
     # ------------------------------------------------------------------ #
     # Request path
@@ -387,11 +365,11 @@ class KernelServer:
         return SOURCE_CACHE_MEMORY if tier == TIER_MEMORY else SOURCE_CACHE_DISK
 
     def close(self) -> None:
-        """Release compiler-held worker pools (idempotent).
+        """Release the compiler's thread pool (idempotent).
 
-        Long-lived deployments using parallel search should close the server
-        (or use it as a context manager) when retiring it, so the process
-        pool behind cold compiles does not outlive the serving loop.
+        Close the server (or use it as a context manager) when retiring it,
+        so the pool behind warmup and submitted compiles does not outlive
+        the serving loop.
         """
         self.compiler.close()
 
@@ -431,7 +409,7 @@ class KernelServer:
                     "pass the runtime M inside the CompileRequest (m=...), "
                     "not as a second argument"
                 )
-            overrides = {**self._overrides, **request.overrides}
+            overrides = dict(request.overrides)
             if request.workload is not None:
                 key = request.workload
                 base = self._base_chain(key)
@@ -444,7 +422,7 @@ class KernelServer:
             return key, base, runtime_m, overrides
         if m is None:
             raise TypeError("request(workload_id, m) requires a runtime M")
-        return request, self._base_chain(request), m, dict(self._overrides)
+        return request, self._base_chain(request), m, {}
 
     @staticmethod
     def _chain_key(chain: GemmChainSpec) -> str:

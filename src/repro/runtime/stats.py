@@ -9,115 +9,59 @@ can be logged, asserted on in tests, or exported to any metrics backend.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
 from repro.analysis.locks import make_lock
-from repro.obs.metrics import bucket_index, histogram_quantile
+from repro.obs.metrics import Histogram
 
 
-@dataclass
-class LatencySummary:
-    """Streaming aggregate of one latency series (microseconds).
+def latency_snapshot(histogram: Histogram) -> Dict[str, object]:
+    """The pinned microsecond view of one latency :class:`Histogram`.
 
-    Beyond count/mean/min/max, every observation lands in one of the fixed
-    log-spaced buckets of :func:`repro.obs.metrics.bucket_index`, so
-    :meth:`merge` composes *exactly* — two workers' summaries add bucket
-    counts, and the merged p50/p95 equal the percentiles of the union —
-    which is what lets fleet-wide snapshots report honest percentiles.
+    >>> histogram = Histogram()
+    >>> histogram.observe(42.0)
+    >>> latency_snapshot(histogram)["p50_us"]
+    42.0
     """
+    count = histogram.count
+    return {
+        "count": count,
+        "mean_us": histogram.total / count if count else 0.0,
+        "min_us": histogram.min if count else 0.0,
+        "max_us": histogram.max,
+        "p50_us": histogram.quantile(50),
+        "p95_us": histogram.quantile(95),
+        "buckets": {
+            str(index): histogram.buckets[index]
+            for index in sorted(histogram.buckets)
+        },
+    }
 
-    count: int = 0
-    total_us: float = 0.0
-    min_us: float = float("inf")
-    max_us: float = 0.0
-    #: Sparse log-bucket counts ({bucket index -> observations}).
-    buckets: Dict[int, int] = field(default_factory=dict)
 
-    def record(self, latency_us: float) -> None:
-        """Fold one observation into the aggregate."""
-        if latency_us < 0:
-            raise ValueError("latency_us must be non-negative")
-        self.count += 1
-        self.total_us += latency_us
-        self.min_us = min(self.min_us, latency_us)
-        self.max_us = max(self.max_us, latency_us)
-        index = bucket_index(latency_us)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+def _latency_from_snapshot(payload: Mapping[str, object]) -> Histogram:
+    """Inverse of :func:`latency_snapshot`.
 
-    @property
-    def mean_us(self) -> float:
-        """Average latency, 0.0 before any observation."""
-        return self.total_us / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Bucket-estimated percentile, clamped to the observed extremes.
-
-        Exact under :meth:`merge`: the estimate depends only on the summed
-        bucket counts and the true min/max, all of which compose losslessly.
-        """
-        if not self.count:
-            return 0.0
-        return histogram_quantile(
-            self.buckets, q, min_value=self.min_us, max_value=self.max_us
-        )
-
-    def merge(self, other: "LatencySummary") -> "LatencySummary":
-        """Fold ``other``'s observations into this aggregate (returns self)."""
-        if other.count:
-            self.count += other.count
-            self.total_us += other.total_us
-            self.min_us = min(self.min_us, other.min_us)
-            self.max_us = max(self.max_us, other.max_us)
-            for index, observations in other.buckets.items():
-                self.buckets[index] = self.buckets.get(index, 0) + observations
-        return self
-
-    def snapshot(self) -> Dict[str, float]:
-        """Plain-dictionary view of the aggregate (pinned key order)."""
-        return {
-            "count": self.count,
-            "mean_us": self.mean_us,
-            "min_us": self.min_us if self.count else 0.0,
-            "max_us": self.max_us,
-            "p50_us": self.quantile(50),
-            "p95_us": self.quantile(95),
-            "buckets": {
-                str(index): self.buckets[index]
-                for index in sorted(self.buckets)
-            },
-        }
-
-    @classmethod
-    def from_snapshot(cls, payload: Mapping[str, float]) -> "LatencySummary":
-        """Rebuild an aggregate from its :meth:`snapshot` form.
-
-        Tolerates payloads written before the histogram fields existed
-        (their percentiles degrade to the min/max clamp of an empty bucket
-        set).
-        """
-        count = int(payload["count"])
-        mean_us = float(payload["mean_us"])
-        raw_buckets = payload.get("buckets") or {}
-        return cls(
-            count=count,
-            total_us=mean_us * count,
-            min_us=float(payload["min_us"]) if count else float("inf"),
-            max_us=float(payload["max_us"]),
-            buckets={
-                int(index): int(observations)
-                for index, observations in dict(raw_buckets).items()
-            },
-        )
+    Tolerates payloads written before the histogram fields existed (their
+    percentiles degrade to the min/max clamp of an empty bucket set).
+    """
+    count = int(payload["count"])
+    return Histogram().load(
+        count=count,
+        total=float(payload["mean_us"]) * count,
+        min_value=float(payload["min_us"]),
+        max_value=float(payload["max_us"]),
+        buckets=dict(payload.get("buckets") or {}),
+    )
 
 
 class ServingStats:
     """Thread-safe request metrics for the kernel-serving frontend.
 
     Tracks total requests, per-source and per-workload counts, and a
-    :class:`LatencySummary` per resolution source.  A request is a *hit*
+    latency :class:`~repro.obs.metrics.Histogram` (microseconds) per
+    resolution source.  The histograms' fixed log buckets make
+    :meth:`merge` exact: merged p50/p95 equal the percentiles of the union.  A request is a *hit*
     when it was satisfied without running a fusion search (table or cache
     sources); every compile source — the on-demand exact ``"compiled"``
     search and its warm-started ``"compiled:transfer"`` variant — is a
@@ -164,8 +108,8 @@ class ServingStats:
         self.requests = 0
         self.by_source: Counter = Counter()
         self.by_workload: Counter = Counter()
-        self.latency: Dict[str, LatencySummary] = {}
-        self.overall_latency = LatencySummary()
+        self.latency: Dict[str, Histogram] = {}
+        self.overall_latency = Histogram()
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -176,8 +120,8 @@ class ServingStats:
             self.requests += 1
             self.by_source[source] += 1
             self.by_workload[workload] += 1
-            self.latency.setdefault(source, LatencySummary()).record(latency_us)
-            self.overall_latency.record(latency_us)
+            self.latency.setdefault(source, Histogram()).observe(latency_us)
+            self.overall_latency.observe(latency_us)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -206,8 +150,8 @@ class ServingStats:
         This is how fleet-level aggregation works: each worker process keeps
         its own :class:`ServingStats` and the fleet merges the per-worker
         sinks into one view instead of doing ad-hoc dictionary math.  Counts
-        add, per-source/per-workload histograms union, and latency summaries
-        combine exactly (count/total/min/max compose losslessly).  ``other``
+        add, per-source/per-workload counts union, and latency histograms
+        combine exactly (count/total/min/max/buckets compose losslessly).  ``other``
         is read under its own lock, so merging a live sink is safe.
 
         Example
@@ -226,28 +170,16 @@ class ServingStats:
             other_by_source = Counter(other.by_source)
             other_by_workload = Counter(other.by_workload)
             other_latency = {
-                source: LatencySummary(
-                    count=summary.count,
-                    total_us=summary.total_us,
-                    min_us=summary.min_us,
-                    max_us=summary.max_us,
-                    buckets=dict(summary.buckets),
-                )
-                for source, summary in other.latency.items()
+                source: Histogram().merge(histogram)
+                for source, histogram in other.latency.items()
             }
-            other_overall = LatencySummary(
-                count=other.overall_latency.count,
-                total_us=other.overall_latency.total_us,
-                min_us=other.overall_latency.min_us,
-                max_us=other.overall_latency.max_us,
-                buckets=dict(other.overall_latency.buckets),
-            )
+            other_overall = Histogram().merge(other.overall_latency)
         with self._lock:
             self.requests += other_requests
             self.by_source.update(other_by_source)
             self.by_workload.update(other_by_workload)
-            for source, summary in other_latency.items():
-                self.latency.setdefault(source, LatencySummary()).merge(summary)
+            for source, histogram in other_latency.items():
+                self.latency.setdefault(source, Histogram()).merge(histogram)
             self.overall_latency.merge(other_overall)
         return self
 
@@ -276,12 +208,10 @@ class ServingStats:
             {str(k): int(v) for k, v in dict(payload["by_workload"]).items()}
         )
         stats.latency = {
-            str(source): LatencySummary.from_snapshot(summary)
+            str(source): _latency_from_snapshot(summary)
             for source, summary in dict(payload["latency_us"]).items()
         }
-        stats.overall_latency = LatencySummary.from_snapshot(
-            payload["overall_latency_us"]
-        )
+        stats.overall_latency = _latency_from_snapshot(payload["overall_latency_us"])
         return stats
 
     def to_dict(self) -> Dict[str, object]:
@@ -317,10 +247,10 @@ class ServingStats:
                     for workload in sorted(self.by_workload)
                 },
                 "latency_us": {
-                    source: self.latency[source].snapshot()
+                    source: latency_snapshot(self.latency[source])
                     for source in sorted(self.latency)
                 },
-                "overall_latency_us": self.overall_latency.snapshot(),
+                "overall_latency_us": latency_snapshot(self.overall_latency),
             }
 
     def snapshot(self) -> Dict[str, object]:
@@ -334,4 +264,4 @@ class ServingStats:
             self.by_source.clear()
             self.by_workload.clear()
             self.latency.clear()
-            self.overall_latency = LatencySummary()
+            self.overall_latency = Histogram()

@@ -6,9 +6,8 @@ survivors with the minimax bandwidth cost model
 (:mod:`repro.search.cost_model`) and profiles the top-K candidates on the
 performance simulator to pick the final plan
 (:mod:`repro.search.engine`, Algorithm 2).  The unpruned exhaustive search
-used for the Table VIII comparison lives in :mod:`repro.search.brute_force`,
-and the sharded process-parallel engine — same selected plan, cold compiles
-fanned across workers — in :mod:`repro.search.parallel`.  The incremental
+used for the Table VIII comparison lives in :mod:`repro.search.brute_force`.
+The incremental
 layer — subchain analysis memoization, admissible lower bounds and
 nearest-shape warm-start transfer — lives in
 :mod:`repro.search.incremental`.
@@ -25,7 +24,6 @@ from repro.search.incremental import (
     seed_from_plan_dict,
     shape_family_key,
 )
-from repro.search.parallel import ParallelSearchEngine
 from repro.search.pruning import PruningRule, PruningStats, Pruner
 from repro.search.space import SearchSpace, SpaceComponents, initial_space_size
 from repro.search.brute_force import BruteForceSearch
@@ -35,7 +33,6 @@ __all__ = [
     "CostBreakdown",
     "CostModel",
     "FusionCandidate",
-    "ParallelSearchEngine",
     "SearchEngine",
     "SearchResult",
     "ShapeIndex",

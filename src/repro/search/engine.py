@@ -58,9 +58,9 @@ class SearchResult:
     ``mode`` records how the plan was found: ``"exact"`` for a full
     enumeration, ``"transfer"`` for a warm-started local search around a
     nearest-shape seed (see :mod:`repro.search.incremental`).
-    ``candidates_skipped`` counts candidates whose admissible lower bound
-    already exceeded the running top-K threshold, so they were never
-    analysed.
+    ``candidates_skipped`` counts the neighborhood candidates a transfer
+    search never analysed because their admissible lower bound already
+    exceeded its top-K threshold (always 0 for an exact search).
     """
 
     chain: GemmChainSpec
@@ -117,7 +117,7 @@ class SearchSummary:
     from_cache: bool = False
     #: ``"exact"`` or ``"transfer"`` — how the plan was found.
     mode: str = "exact"
-    #: Candidates skipped by the admissible lower bound.
+    #: Transfer-search candidates skipped by the admissible lower bound.
     candidates_skipped: int = 0
     #: Per-phase wall-clock attribution in microseconds (``None`` for
     #: summaries persisted before phase attribution existed).
@@ -213,14 +213,6 @@ class SearchEngine:
         :class:`~repro.search.incremental.SubchainAnalysisCache`, so a
         gated-FFN search reuses its standard-FFN prefix work.  Plan-neutral:
         the selected plans are bit-identical either way.
-    lower_bound_prune:
-        Skip analysing candidates whose admissible lower bound strictly
-        exceeds the running top-K cost threshold.  The bound never
-        overestimates (see
-        :class:`~repro.search.incremental.CandidateLowerBound`), so the
-        surviving top-K — and therefore the selected plan — is unchanged;
-        only ``candidates_analyzed`` shrinks.  Off by default because the
-        analyzed-count bookkeeping is pinned by equivalence tests.
     transfer_bound:
         Acceptance bound of warm-started transfer searches (used when
         :meth:`search` is given a ``transfer_seed``): the transferred
@@ -256,15 +248,11 @@ class SearchEngine:
         require_feasible: bool = True,
         max_candidates: Optional[int] = None,
         incremental: bool = True,
-        lower_bound_prune: bool = False,
         transfer_bound: float = 2.0,
     ) -> None:
         # Local import: incremental.py returns SearchResult objects, so the
         # module-level dependency must point the other way.
-        from repro.search.incremental import (
-            CandidateLowerBound,
-            SubchainAnalysisCache,
-        )
+        from repro.search.incremental import SubchainAnalysisCache
 
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
@@ -283,9 +271,7 @@ class SearchEngine:
         )
         self.require_feasible = require_feasible
         self.max_candidates = max_candidates
-        self.lower_bound_prune = lower_bound_prune
         self.transfer_bound = transfer_bound
-        self.bounds = CandidateLowerBound(device, self.cost_model)
 
     # ------------------------------------------------------------------ #
     # Algorithm 2
@@ -354,7 +340,6 @@ class SearchEngine:
                 end_us=end_us,
                 chain=chain.name,
                 analyzed=ranking.analyzed,
-                skipped=ranking.skipped,
             )
         return SearchResult(
             chain=chain,
@@ -364,7 +349,6 @@ class SearchEngine:
             candidates_enumerated=pruner.stats.initial,
             candidates_analyzed=ranking.analyzed,
             search_time_s=elapsed,
-            candidates_skipped=ranking.skipped,
             phase_times_us=phase_times_us,
         )
 
@@ -380,7 +364,6 @@ class SearchEngine:
             self.cost_model,
             keep=self.top_k,
             require_feasible=self.require_feasible,
-            bounds=self.bounds if self.lower_bound_prune else None,
             budget=self.max_candidates,
         )
 
@@ -415,7 +398,6 @@ class SurvivorRanking:
     """What analysing and scoring a run of pruned survivors yields."""
 
     analyzed: int
-    skipped: int
     #: At most ``keep`` entries: the smallest ``(cost, index)`` pairs, sorted.
     plans: List[ScoredPlan]
     #: Wall-clock seconds spent in the dataflow analyzer.
@@ -430,7 +412,6 @@ def rank_survivors(
     cost_model: CostModel,
     keep: int,
     require_feasible: bool = True,
-    bounds=None,
     budget: Optional[int] = None,
 ) -> SurvivorRanking:
     """Analyze survivors in enumeration order and keep the ``keep`` best.
@@ -438,15 +419,10 @@ def rank_survivors(
     Feasible analyses are scored with :meth:`CostModel.evaluate_batch` in
     batches of at most :data:`SCORE_BATCH`.  The running top-K holds the
     ``keep`` lexicographically smallest ``(cost, index)`` pairs, so the
-    result does not depend on batch or shard boundaries.  An analysis whose
+    result does not depend on batch boundaries.  An analysis whose
     :meth:`CostModel.memory_floor_us` already reaches the worst kept cost
     is not scored: it could at best tie that cost, and it loses the tie.
-
-    With ``bounds`` (a
-    :class:`~repro.search.incremental.CandidateLowerBound`) a survivor whose
-    admissible lower bound strictly exceeds the K-th best cost is skipped
-    unanalysed; each analysis is then scored at once, so the threshold is
-    always current.  ``budget`` caps the analyses.
+    ``budget`` caps the analyses.
     """
     # Max-heap by (cost, index): entries are (-cost, -index, analysis), so
     # the root is the worst kept plan.  A new arrival has the largest index
@@ -454,9 +430,7 @@ def rank_survivors(
     # cheaper.  Indices are unique: comparisons never reach the analysis.
     heap: List[Tuple[float, int, DataflowResult]] = []
     pending: List[Tuple[int, DataflowResult]] = []
-    batch = 1 if bounds is not None else SCORE_BATCH
     analyzed = 0
-    skipped = 0
     analyze_s = 0.0
 
     def score_pending() -> None:
@@ -474,11 +448,6 @@ def rank_survivors(
     for index, schedule, geometry, tile, gated in zip(map(int, indices), *parts):
         if budget is not None and analyzed >= budget:
             break
-        if bounds is not None and len(heap) == keep:
-            candidate = components.candidate(chain, index)
-            if bounds.lower_bound(chain, candidate) > -heap[0][0]:
-                skipped += 1
-                continue
         analyze_t0 = time.perf_counter()
         result = analyzer.analyze(
             chain,
@@ -496,7 +465,7 @@ def rank_survivors(
         if len(heap) == keep and cost_model.memory_floor_us(result) >= -heap[0][0]:
             continue
         pending.append((index, result))
-        if len(pending) >= batch:
+        if len(pending) >= SCORE_BATCH:
             score_pending()
     score_pending()
 
@@ -504,4 +473,4 @@ def rank_survivors(
         (-neg_cost, -neg_index, components.candidate(chain, -neg_index), result)
         for neg_cost, neg_index, result in sorted(heap, reverse=True)
     ]
-    return SurvivorRanking(analyzed, skipped, plans, analyze_s)
+    return SurvivorRanking(analyzed, plans, analyze_s)

@@ -15,7 +15,7 @@ first row).  :func:`initial_space_size` reproduces that count analytically;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.dataflow.loop_schedule import (
     LoopSchedule,
@@ -179,24 +179,6 @@ class SearchSpace:
                             gated_sequential=gated_sequential,
                         )
 
-    def candidates_range(
-        self,
-        chain: GemmChainSpec,
-        start: int,
-        stop: int,
-        components: Optional["SpaceComponents"] = None,
-    ) -> Iterator[Tuple[int, FusionCandidate]]:
-        """Yield ``(global_index, candidate)`` for one slice of the space.
-
-        Candidates carry the index they occupy in the full :meth:`candidates`
-        stream, so disjoint ``[start, stop)`` ranges partition the space
-        deterministically: concatenating the slices in index order
-        reproduces the serial enumeration exactly.
-        """
-        parts = components or self.components(chain)
-        for index in range(max(0, start), min(parts.size, stop)):
-            yield index, parts.candidate(chain, index)
-
     def components(self, chain: GemmChainSpec) -> "SpaceComponents":
         """The materialised component lists behind :meth:`candidates`."""
         gated_modes: Tuple[bool, ...] = (False,)
@@ -241,11 +223,11 @@ class SpaceComponents:
     def decompose(self, index: int) -> Tuple[int, int, int, int]:
         """Component indices ``(schedule, geometry, tile, gated)`` at ``index``.
 
-        The single source of truth for the enumeration-order contract: both
-        :meth:`SearchSpace.candidates_range` and the search engines map
-        global indices through this method, so the ordering can never
-        silently diverge between them.  It is plain integer arithmetic, so
-        an integer numpy array of indices maps elementwise.
+        The single source of truth for the enumeration-order contract: the
+        search engine and :meth:`candidate` map global indices through this
+        method, so the ordering can never silently diverge between them.
+        It is plain integer arithmetic, so an integer numpy array of indices
+        maps elementwise.
         """
         remainder, gated_index = divmod(index, len(self.gated_modes))
         remainder, tile_index = divmod(remainder, len(self.tiles))

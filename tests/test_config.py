@@ -1,16 +1,15 @@
 """Tests for the unified compiler API.
 
-Covers the PR-3 redesign: :class:`FuserConfig` round-tripping, the device
-registry, cache-key stability across old-kwargs and config construction,
-the deprecation shims (each warns exactly once), ``submit()`` future
-equivalence with ``compile()``, structured requests through the server, and
-a public-API snapshot guarding accidental surface changes.
+Covers :class:`FuserConfig` round-tripping, the device registry, cache-key
+stability across kwargs and config construction, the errors raised for
+removed spellings, ``submit()`` future equivalence with ``compile()``,
+structured requests through the server, and a public-API snapshot guarding
+accidental surface changes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -30,7 +29,6 @@ from repro import (
     warmup_workloads,
 )
 from repro.api import FusionError
-from repro.config import reset_deprecation_warnings
 from repro.hardware.registry import device_name_of, unregister_device
 from repro.ir.builders import build_standard_ffn
 from repro.runtime.cache import plan_cache_key
@@ -39,10 +37,6 @@ from repro.runtime.cache import plan_cache_key
 def _tiny(name="cfg-tiny", m=64, n=256, k=128, l=128):
     _, spec = build_standard_ffn(name, m=m, n=n, k=k, l=l)
     return spec
-
-
-def _deprecations(records):
-    return [r for r in records if issubclass(r.category, DeprecationWarning)]
 
 
 # --------------------------------------------------------------------- #
@@ -56,7 +50,6 @@ class TestFuserConfig:
         assert config.include_dsm is True
         assert config.max_tile == 256
         assert config.cache is None
-        assert config.parallelism is None
 
     def test_cache_key_fields_format_is_pinned(self):
         # The exact dict the plan cache folds into its keys.  Changing this
@@ -84,8 +77,6 @@ class TestFuserConfig:
             FuserConfig(top_k=0)
         with pytest.raises(ValueError):
             FuserConfig(max_tile=0)
-        with pytest.raises(ValueError):
-            FuserConfig(parallelism=0)
         # replace() re-validates like construction.
         with pytest.raises(ValueError):
             FuserConfig().replace(top_k=-1)
@@ -97,7 +88,7 @@ class TestFuserConfig:
             include_dsm=False,
             max_tile=64,
             cache="/tmp/flashfuser-plans",
-            parallelism=2,
+            incremental=False,
         )
         assert FuserConfig.from_dict(config.to_dict()) == config
 
@@ -223,72 +214,20 @@ class TestCacheKeyStability:
 
 
 # --------------------------------------------------------------------- #
-# Deprecation shims
+# Removed spellings fail loudly
 # --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_registry(self):
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
+class TestRemovedSpellings:
+    def test_positional_device_raises_type_error(self):
+        with pytest.raises(TypeError, match=r"FuserConfig\(device=\.\.\.\)"):
+            FlashFuser("h100")
 
-    def _record_twice(self, fn):
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            fn()
-            fn()
-        return _deprecations(records)
+    def test_parallelism_override_raises_type_error(self):
+        with pytest.raises(TypeError, match="parallelism"):
+            FlashFuser(parallelism=2)
 
-    def test_positional_device_warns_once(self, h100):
-        records = self._record_twice(lambda: FlashFuser(h100, top_k=2, max_tile=64))
-        assert len(records) == 1
-        assert "positional" in str(records[0].message)
-
-    def test_compile_parallelism_kwarg_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        chain = _tiny("cfg-dep-compile")
-        records = self._record_twice(lambda: compiler.compile(chain, parallelism=1))
-        assert len(records) == 1
-        assert "parallelism" in str(records[0].message)
-
-    def test_search_config_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        records = self._record_twice(compiler.search_config)
-        assert len(records) == 1
-        # The shim still answers with the canonical fields.
-        assert compiler.search_config() == compiler.config.cache_key_fields()
-
-    def test_batch_parallelism_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        records = self._record_twice(
-            lambda: BatchCompiler(compiler, parallelism=2)
-        )
-        assert len(records) == 1
-        assert BatchCompiler(compiler, parallelism=2).parallelism == 2
-
-    def test_server_parallelism_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        records = self._record_twice(
-            lambda: KernelServer(compiler=compiler, parallelism=1)
-        )
-        assert len(records) == 1
-
-    def test_warmup_parallelism_warns_once(self, h100):
-        compiler = FlashFuser(device=h100, top_k=2, max_tile=64)
-        records = self._record_twice(
-            lambda: warmup_workloads(
-                compiler, workload_ids=[], m_bins=(64,), parallelism=1
-            )
-        )
-        assert len(records) == 1
-
-    def test_new_style_construction_does_not_warn(self, h100):
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            FlashFuser(device=h100, top_k=2, max_tile=64)
-            FlashFuser(FuserConfig(device="h100"), top_k=2)
-            BatchCompiler(FlashFuser(device=h100), overrides={"parallelism": 2})
-        assert not _deprecations(records)
+    def test_from_dict_names_the_parallelism_field(self):
+        with pytest.raises(ValueError, match="parallelism"):
+            FuserConfig.from_dict({"parallelism": 2})
 
 
 # --------------------------------------------------------------------- #
@@ -315,10 +254,10 @@ class TestCompileRequest:
         assert CompileRequest(chain=chain).resolve_chain() is chain
 
     def test_overrides_are_snapshotted(self):
-        knobs = {"parallelism": 1}
+        knobs = {"incremental": False}
         request = CompileRequest(workload="G1", overrides=knobs)
-        knobs["parallelism"] = 8
-        assert request.overrides == {"parallelism": 1}
+        knobs["incremental"] = True
+        assert request.overrides == {"incremental": False}
 
 
 class TestSubmitFutures:
@@ -353,7 +292,7 @@ class TestSubmitFutures:
             device=h100, top_k=2, max_tile=64, cache=PlanCache()
         ) as compiler:
             cold = compiler.submit(
-                CompileRequest(chain=chain, overrides={"parallelism": 1})
+                CompileRequest(chain=chain, overrides={"incremental": False})
             ).result()
             warm = compiler.submit(CompileRequest(chain=chain)).result()
         assert cold.cache_key == warm.cache_key
@@ -418,14 +357,6 @@ class TestServerRequests:
             CompileRequest(workload="G1", m=64, overrides={"top_k": 3})
         )
         assert again.source == "cache:memory"
-
-    def test_server_parallelism_reflects_config(self):
-        server = KernelServer(
-            config=FuserConfig(top_k=2, max_tile=64, parallelism=2),
-            m_bins=(64,),
-        )
-        assert server.parallelism == 2
-        server.close()
 
 
 class TestPoolOwnership:
@@ -530,7 +461,6 @@ EXPECTED_EXPORTS = frozenset(
         "canonicalize",
         "compile_graph",
         "extract_chains",
-        "ParallelSearchEngine",
         "SearchEngine",
         "BatchCompiler",
         "KernelServer",

@@ -139,8 +139,8 @@ class TestServingStatsMerge:
         assert merged.by_source == {"compiled": 1, "table": 2, "cache:disk": 1}
         assert merged.by_workload == {"G1": 3, "G2": 1}
         assert merged.latency["table"].count == 2
-        assert merged.latency["table"].min_us == 10.0
-        assert merged.latency["table"].max_us == 30.0
+        assert merged.latency["table"].min == 10.0
+        assert merged.latency["table"].max == 30.0
         assert merged.overall_latency.count == 4
         assert merged.hit_rate() == pytest.approx(3 / 4)
 

@@ -5,7 +5,8 @@ library does not import networkx.  Chain matching and segment anchors depend
 on the exact order, so these tests pin it to ``networkx.topological_sort``
 (a test-only dependency) over the model zoo, the graph zoo, their
 canonicalized forms and random DAGs whose insertion order is shuffled and
-whose operators may read one tensor twice.
+whose operators may read one tensor twice.  The same graphs pin the graph's
+consumer index to a brute-force scan of every operator's inputs.
 """
 
 from __future__ import annotations
@@ -61,6 +62,40 @@ def test_graph_zoo_order_matches_networkx(name):
         assert_same_order(get_zoo_graph(name, m=m))
 
 
+def assert_indexes_match_scan(graph: OperatorGraph) -> None:
+    """``consumers_of`` and the tensors derived from it equal a full scan."""
+    ops = graph.operators
+
+    def scanned_consumers(name):
+        return [op for op in ops if any(t.name == name for t in op.inputs)]
+
+    names = {t.name for op in ops for t in op.inputs} | {op.output.name for op in ops}
+    for name in sorted(names):
+        assert graph.consumers_of(name) == scanned_consumers(name)
+    assert graph.output_tensors() == [
+        op.output for op in ops if not scanned_consumers(op.output.name)
+    ]
+    assert graph.intermediate_tensors() == [
+        op.output for op in ops if scanned_consumers(op.output.name)
+    ]
+
+
+ZOO_GRAPHS = [("model", name) for name in sorted(MODEL_ZOO)] + [
+    ("zoo", name) for name in list_graph_zoo()
+]
+
+
+@pytest.mark.parametrize("source,name", ZOO_GRAPHS)
+def test_consumer_index_matches_scan(source, name):
+    for m in ZOO_MS:
+        if source == "model":
+            graph = MODEL_ZOO[name].layer_graph(seq_len=m)
+        else:
+            graph = get_zoo_graph(name, m=m)
+        assert_indexes_match_scan(graph)
+        assert_indexes_match_scan(canonicalize(graph).graph)
+
+
 @st.composite
 def shuffled_dags(draw) -> OperatorGraph:
     """A random DAG added in a random order, not a topological one.
@@ -98,3 +133,4 @@ def shuffled_dags(draw) -> OperatorGraph:
 def test_random_dag_order_matches_networkx(graph):
     assert own_order(graph) == networkx_order(graph)
     assert graph.validate() is graph
+    assert_indexes_match_scan(graph)

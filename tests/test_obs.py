@@ -11,6 +11,7 @@ off.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 
@@ -22,6 +23,7 @@ from repro.bench.report import PerfReport
 from repro.bench.report import percentile as report_percentile
 from repro.bench.traces import cold_warm_trace, poisson_trace
 from repro.config import FuserConfig
+from repro.fleet.stats import FleetStats
 from repro.obs import trace as obs_trace
 from repro.obs.logging import format_event, get_logger, log_event
 from repro.obs.metrics import (
@@ -44,7 +46,7 @@ from repro.obs.summary import (
 )
 from repro.obs.trace import SpanContext, Tracer, tracer
 from repro.runtime.server import KernelServer
-from repro.runtime.stats import LatencySummary, ServingStats
+from repro.runtime.stats import ServingStats, latency_snapshot
 
 #: Cheapest search knobs — some tests pay real compiles.
 FAST = dict(top_k=1, max_tile=64)
@@ -193,9 +195,9 @@ class TestMetricsRegistry:
 # --------------------------------------------------------------------- #
 class TestLatencySummaryPercentiles:
     def test_snapshot_reports_p50_p95(self):
-        summary = LatencySummary()
-        summary.record(42.0)
-        snapshot = summary.snapshot()
+        histogram = Histogram()
+        histogram.observe(42.0)
+        snapshot = latency_snapshot(histogram)
         assert snapshot["p50_us"] == 42.0
         assert snapshot["p95_us"] == 42.0
         assert snapshot["buckets"] == {str(bucket_index(42.0)): 1}
@@ -213,12 +215,54 @@ class TestLatencySummaryPercentiles:
         merged = one.merge(other)
         assert merged.to_dict() == union.to_dict()
 
+    #: A fixed two-worker request sequence: (worker, workload, source, us).
+    PINNED_REQUESTS = (
+        ("0", "G1", "compiled", 900.0),
+        ("0", "G1", "table", 10.0),
+        ("1", "G2", "cache:disk", 55.5),
+        ("0", "G2", "compiled:transfer", 230.25),
+        ("1", "G1", "table", 12.5),
+        ("1", "G4", "cache:memory", 31.0),
+        ("0", "G4", "table", 0.75),
+        ("1", "G2", "compiled", 40000.0),
+    )
+
     def test_snapshot_round_trip_keeps_buckets(self):
-        summary = LatencySummary()
-        for value in (5.0, 500.0):
-            summary.record(value)
-        restored = LatencySummary.from_snapshot(summary.snapshot())
-        assert restored.snapshot() == summary.snapshot()
+        workers = {"0": ServingStats(), "1": ServingStats()}
+        for worker, workload, source, latency_us in self.PINNED_REQUESTS:
+            workers[worker].record_request(workload, source, latency_us)
+        for stats in workers.values():
+            # to_dict() carries every latency histogram's buckets.
+            restored = ServingStats.from_dict(stats.to_dict())
+            assert restored.to_dict() == stats.to_dict()
+
+        # SHA-256 of the serving, fleet and Prometheus renderings of
+        # PINNED_REQUESTS.  Dashboards and committed reports parse these
+        # bytes, so any change to them must be deliberate.
+        fleet = FleetStats(
+            workers=2,
+            alive=2,
+            router={"routed": len(self.PINNED_REQUESTS), "rejected": 1},
+            per_worker={
+                worker: {"serving": stats.to_dict(), "models": stats.to_dict()}
+                for worker, stats in workers.items()
+            },
+        )
+        registry = MetricsRegistry()
+        registry.publish_fleet_stats(fleet.to_dict())
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest(json.dumps(workers["0"].to_dict())) == (
+            "4a3aff77df5c06e040c4a529929fa44ce5fbffc543d96fe3edca962c63b2bafa"
+        )
+        assert digest(json.dumps(fleet.to_dict())) == (
+            "60ccf40b9b4f935b84d48ec4b368f5f748c5c0f8014b9ced10b080ade1ef125d"
+        )
+        assert digest(registry.prometheus_text()) == (
+            "4169cee0063d92933436921f232c8f6bed62ceddf80b22478c76ab32cd41b3ba"
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Tests for the cost model, the search space and the search engine."""
 
+import math
+
 import pytest
 
 from repro.dataflow.analyzer import DataflowAnalyzer
@@ -11,6 +13,7 @@ from repro.ir.builders import build_standard_ffn
 from repro.search.brute_force import BruteForceSearch
 from repro.search.cost_model import CostModel
 from repro.search.engine import SearchEngine
+from repro.search.pruning import Pruner
 from repro.search.space import SearchSpace, initial_space_size
 from repro.sim.engine import PerformanceSimulator
 
@@ -18,6 +21,14 @@ from repro.sim.engine import PerformanceSimulator
 def _chain(m=128, n=512, k=256, l=256, name="engine-chain"):
     _, spec = build_standard_ffn(name, m=m, n=n, k=k, l=l)
     return spec
+
+
+def _small_chain(name="par-chain"):
+    return _chain(n=256, k=128, l=128, name=name)
+
+
+def _space(device):
+    return SearchSpace(device, max_tile=128)
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +155,132 @@ class TestSearchEngine:
         engine = SearchEngine(device, top_k=3, max_candidates=10)
         result = engine.search(_chain())
         assert result.candidates_analyzed <= 10
+
+    def test_phase_attribution_partitions_wall_clock(self, device):
+        result = SearchEngine(device, top_k=3, space=_space(device)).search(
+            _small_chain(name="par-phases")
+        )
+        phases = result.phase_times_us
+        assert set(phases) == {"enumerate_prune", "analyze", "rank", "profile"}
+        assert phases["enumerate_prune"] > 0.0
+        # The phases are disjoint slices of the search wall clock (the
+        # slack only absorbs float rounding of the residual "rank").
+        assert sum(phases.values()) <= result.search_time_s * 1e6 + 1e-6
+
+
+class TestEvaluateBatch:
+    def test_bitwise_identical_to_scalar_evaluate(self, device):
+        space = _space(device)
+        chain = _small_chain()
+        pruner = Pruner(device)
+        analyzer = DataflowAnalyzer(device)
+        model = CostModel(device)
+        survivors = []
+        for candidate in pruner.prune(space.candidates(chain)):
+            survivors.append(
+                analyzer.analyze(
+                    chain,
+                    candidate.schedule,
+                    candidate.tile,
+                    candidate.geometry,
+                    gated_sequential=candidate.gated_sequential,
+                )
+            )
+            if len(survivors) >= 200:
+                break
+        assert survivors
+        batched = model.evaluate_batch(survivors)
+        scalar = [model.evaluate(result) for result in survivors]
+        # Exact equality, not approx: the top-K must not depend on where
+        # the rank loop's batch boundaries fall.
+        assert batched.tolist() == scalar
+
+    def test_empty_batch(self, device):
+        assert CostModel(device).evaluate_batch([]).shape == (0,)
+
+    def test_memory_floor_is_a_lower_bound(self, device):
+        chain = _small_chain()
+        components = _space(device).components(chain)
+        analyzer = DataflowAnalyzer(device)
+        model = CostModel(device)
+        for index in Pruner(device).prune_grid(chain, components)[:200].tolist():
+            candidate = components.candidate(chain, index)
+            result = analyzer.analyze(
+                chain, candidate.schedule, candidate.tile, candidate.geometry
+            )
+            assert model.memory_floor_us(result) <= model.evaluate(result)
+        # A model whose evaluate() is overridden offers no bound.
+        assert _ScriptedCostModel(device, {}).memory_floor_us(result) == -math.inf
+
+
+class _ScriptedCostModel(CostModel):
+    """Deterministic cost script by analysis order, for tie-break tests."""
+
+    def __init__(self, device, costs, default=5.0):
+        super().__init__(device)
+        self._costs = dict(costs)
+        self._default = default
+        self.calls = 0
+
+    def evaluate(self, result):
+        cost = self._costs.get(self.calls, self._default)
+        self.calls += 1
+        return cost
+
+
+class TestTieBreakDeterminism:
+    """The top-K heap's tie handling.
+
+    Membership must be "the K lexicographically smallest (cost, analysis
+    order) pairs" — in particular, evicting on a strictly better arrival
+    must drop the *latest* of the tied-worst entries, and pure ties must
+    keep the earliest arrivals.
+    """
+
+    def test_all_ties_keep_earliest_candidates(self, device):
+        model = _ScriptedCostModel(device, {})
+        engine = SearchEngine(
+            device, top_k=4, space=_space(device), cost_model=model
+        )
+        result = engine.search(_small_chain(name="tie-all"))
+        expected = _first_feasible(device, _small_chain(name="tie-all"), count=4)
+        assert [plan.candidate for plan in result.top_k] == expected
+
+    def test_eviction_drops_latest_of_tied_worst(self, device):
+        # Feasible candidates 0 and 1 tie at 5.0; candidate 7 costs 3.0 and
+        # must evict candidate 1 (the later of the tied-worst), keeping
+        # {7, 0} — the two smallest (cost, order) pairs.
+        model = _ScriptedCostModel(device, {7: 3.0})
+        engine = SearchEngine(
+            device, top_k=2, space=_space(device), cost_model=model
+        )
+        result = engine.search(_small_chain(name="tie-evict"))
+        feasible = _first_feasible(device, _small_chain(name="tie-evict"), count=8)
+        assert [plan.candidate for plan in result.top_k] == [feasible[7], feasible[0]]
+        assert [plan.predicted_cost_us for plan in result.top_k] == [3.0, 5.0]
+
+
+def _first_feasible(device, chain, count):
+    """The first ``count`` feasible candidates in analysis order."""
+    space = _space(device)
+    pruner = Pruner(device)
+    analyzer = DataflowAnalyzer(device)
+    feasible = []
+    for candidate in pruner.prune(space.candidates(chain)):
+        result = analyzer.analyze(
+            chain,
+            candidate.schedule,
+            candidate.tile,
+            candidate.geometry,
+            gated_sequential=candidate.gated_sequential,
+        )
+        if not result.feasible:
+            continue
+        feasible.append(candidate)
+        if len(feasible) >= count:
+            break
+    assert len(feasible) >= count
+    return feasible
 
 
 class TestBruteForce:
